@@ -611,7 +611,6 @@ fn serve_load(args: &[String]) -> ! {
     );
 
     if let Some(path) = json_path {
-        use serde::Serialize;
         use serde_json::json;
         let value = json!({
             "bench": "serve_load",
@@ -644,8 +643,7 @@ fn serve_load(args: &[String]) -> ! {
                 "spec_cache_hits": stats.spec_cache_hits,
             }),
         });
-        let text = serde_json::to_string_pretty(&value.to_value())
-            .expect("bench values are always encodable");
+        let text = serde_json::to_string_pretty(&value).expect("bench values are always encodable");
         std::fs::write(&path, text)
             .unwrap_or_else(|e| usage_error(format!("cannot write {path}: {e}")));
         eprintln!("serve-load: wrote {path}");
@@ -661,27 +659,29 @@ fn load_report(path: &str) -> SweepReport {
         .unwrap_or_else(|e| usage_error(format!("cannot parse {path}: {e}")))
 }
 
+/// A `BENCH_hotpath.json`-format export (other keys are ignored).
+#[derive(serde::Deserialize)]
+struct HotpathExport {
+    benches: Vec<HotpathBench>,
+}
+
+#[derive(serde::Deserialize)]
+struct HotpathBench {
+    id: String,
+    median_ns: f64,
+}
+
 /// Loads a `BENCH_hotpath.json`-format export as `(id, median_ns)` pairs,
 /// exiting 2 on failure.
 fn load_hotpath(path: &str) -> Vec<(String, f64)> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| usage_error(format!("cannot read {path}: {e}")));
-    let value = serde_json::from_str(&text)
+    let export: HotpathExport = serde_json::from_str(&text)
         .unwrap_or_else(|e| usage_error(format!("cannot parse {path}: {e}")));
-    let benches = value
-        .get("benches")
-        .and_then(|b| b.as_array())
-        .unwrap_or_else(|| usage_error(format!("{path}: no \"benches\" array")));
-    benches
-        .iter()
-        .map(|b| {
-            let id = b.get("id").and_then(|v| v.as_str());
-            let median = b.get("median_ns").and_then(|v| v.as_f64());
-            match (id, median) {
-                (Some(id), Some(m)) => (id.to_string(), m),
-                _ => usage_error(format!("{path}: bench entry without id/median_ns")),
-            }
-        })
+    export
+        .benches
+        .into_iter()
+        .map(|b| (b.id, b.median_ns))
         .collect()
 }
 

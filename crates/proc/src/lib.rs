@@ -9,13 +9,14 @@
 //! framing the `numadag-serve` daemon uses, hoisted into
 //! [`numadag_runtime::framing`].
 //!
-//! Messages cover the whole lifecycle: `config`/`config_ack` (execution
-//! config sync, fingerprint-keyed), `spec` (workload transfer, shipped once
-//! per worker and referenced by fingerprint after), `assign`/`done` (one
-//! sweep cell), `data_home` and `steal` notifications (deferred-allocation
-//! bytes and stolen-task counts, cross-checked against the report),
-//! `barrier`/`barrier_ack` (oneCCL-style non-blocking collectives at
-//! startup and shutdown) and `shutdown`.
+//! Messages ([`protocol::ToWorker`], [`protocol::FromWorker`]) cover the
+//! whole lifecycle: `Config`/`ConfigAck` (execution config sync,
+//! fingerprint-keyed), `Spec` (workload transfer, shipped once per worker
+//! and referenced by fingerprint after), `Assign`/`Done` (one sweep cell),
+//! `DataHome` and `Steal` notifications (deferred-allocation bytes and
+//! stolen-task counts, cross-checked against the report),
+//! `Barrier`/`BarrierAck` (oneCCL-style non-blocking collectives at startup
+//! and shutdown) and `Shutdown`.
 //!
 //! Determinism: a worker rebuilds the policy from the `(label, seed)` in
 //! the assignment and runs the in-process [`numadag_runtime::Simulator`],

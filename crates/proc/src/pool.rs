@@ -2,7 +2,7 @@
 //!
 //! [`WorkerPool::spawn`] re-execs the current executable once per worker
 //! (passing the rendezvous socket through the environment), collects each
-//! worker's `hello`, and then runs a startup barrier so every later
+//! worker's `Hello`, and then runs a startup barrier so every later
 //! dispatch starts from a known-good collective state. Barriers follow the
 //! oneCCL shape — a non-blocking state machine with an explicit
 //! [`CollectiveBarrier::start`] and repeated [`CollectiveBarrier::update`]
@@ -12,9 +12,9 @@
 //! Per-cell dispatch is a short serial conversation on one worker's socket:
 //! config sync (only when the worker's last-acked config fingerprint
 //! differs), spec transfer (only the first time this worker sees the spec),
-//! `assign`, then `data_home` / `steal` / `done` replies. Any framing
+//! `Assign`, then `DataHome` / `Steal` / `Done` replies. Any framing
 //! failure or timeout on that conversation kills the worker and redispatches
-//! the cell to a live one; a structured `error` reply is deterministic
+//! the cell to a live one; a structured `Error` reply is deterministic
 //! (bad policy, bad spec) and propagates instead of retrying.
 
 use std::collections::{HashMap, HashSet};
@@ -25,16 +25,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use numadag_runtime::framing::{read_frame, to_line, untag, write_frame, FrameError};
+use numadag_runtime::framing::{read_frame, to_line, write_frame, FrameError};
 use numadag_runtime::{ExecutionConfig, ExecutionReport};
 use numadag_tdg::TaskGraphSpec;
 use numadag_trace::TraceEvent;
-use serde::Value;
 
-use crate::protocol::{
-    decode_data_home, decode_done, decode_epoch, decode_error, decode_hello, decode_steal,
-    encode_assign, encode_barrier, encode_config, encode_shutdown, encode_spec, Assignment,
-};
+use crate::protocol::{Assignment, FromWorker, ToWorker, WireConfig, WireSpec};
 use crate::worker::{CONNECT_ENV, WORKER_ENV, WORKER_FLAG};
 
 /// How a worker pool is launched.
@@ -98,7 +94,7 @@ pub enum ProcError {
         /// The cell that could not be placed.
         cell: u64,
     },
-    /// A reply decoded but contradicted itself (e.g. `data_home` bytes
+    /// A reply decoded but contradicted itself (e.g. `DataHome` bytes
     /// disagreeing with the report it accompanies).
     Protocol {
         /// The offending worker's id.
@@ -220,7 +216,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// Stable fingerprint of an [`ExecutionConfig`]'s wire form, used both as
 /// the config's epoch tag and as the "has this worker seen it" key.
 fn config_fingerprint(config: &ExecutionConfig) -> u64 {
-    fnv1a(to_line(&encode_config(0, config)).as_bytes())
+    fnv1a(to_line(&ToWorker::Config(WireConfig::new(0, config))).as_bytes())
 }
 
 enum DispatchFailure {
@@ -312,15 +308,11 @@ impl WorkerPool {
             let hello = read_frame(&mut reader)
                 .map_err(|e| spawn_err(format!("bad hello frame: {e}")))?
                 .ok_or_else(|| spawn_err("worker closed before hello".to_string()))?;
-            let value: Value = serde_json::from_str(&hello)
-                .map_err(|e| spawn_err(format!("hello is not JSON: {e}")))?;
-            let (tag, payload) =
-                untag(&value).map_err(|e| spawn_err(format!("bad hello envelope: {e}")))?;
-            if tag != "hello" {
-                return Err(spawn_err(format!("expected hello, got {tag:?}")));
-            }
-            let (worker, _pid) =
-                decode_hello(payload).map_err(|e| spawn_err(format!("bad hello: {e}")))?;
+            let worker = match serde_json::from_str(&hello) {
+                Ok(FromWorker::Hello { worker, .. }) => worker,
+                Ok(other) => return Err(spawn_err(format!("expected Hello, got {other:?}"))),
+                Err(e) => return Err(spawn_err(format!("bad hello: {e}"))),
+            };
             let child = unmatched
                 .remove(&worker)
                 .ok_or_else(|| spawn_err(format!("unexpected hello from worker {worker}")))?;
@@ -484,7 +476,8 @@ impl WorkerPool {
 
         // Config sync: only when this worker's acked fingerprint differs.
         if state.config_fp != Some(config_fp) {
-            if write_frame(&mut state.writer, &encode_config(config_fp, config)).is_err() {
+            let message = ToWorker::Config(WireConfig::new(config_fp, config));
+            if write_frame(&mut state.writer, &message).is_err() {
                 return Err(lost(slot, &mut state));
             }
             self.counters
@@ -492,16 +485,11 @@ impl WorkerPool {
                 .fetch_add(1, Ordering::Relaxed);
             // The conversation is serial under the slot lock, so the next
             // frame must be the ack (or a structured rejection).
-            match read_tagged(&mut state.reader) {
-                Ok((tag, payload)) if tag == "config_ack" => {
-                    match decode_epoch(&payload, "config_ack") {
-                        Ok(epoch) if epoch == config_fp => state.config_fp = Some(config_fp),
-                        _ => return Err(lost(slot, &mut state)),
-                    }
+            match read_reply(&mut state.reader) {
+                Ok(FromWorker::ConfigAck { epoch }) if epoch == config_fp => {
+                    state.config_fp = Some(config_fp)
                 }
-                Ok((tag, payload)) if tag == "error" => {
-                    let message =
-                        decode_error(&payload).unwrap_or_else(|e| format!("unreadable error: {e}"));
+                Ok(FromWorker::Error { message }) => {
                     return Err(DispatchFailure::Fatal(ProcError::Worker {
                         worker: slot.id,
                         message,
@@ -513,45 +501,39 @@ impl WorkerPool {
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
         if !state.specs.contains(&assignment.spec_fp) {
-            if write_frame(&mut state.writer, &encode_spec(spec)).is_err() {
+            if write_frame(&mut state.writer, &ToWorker::Spec(WireSpec::new(spec))).is_err() {
                 return Err(lost(slot, &mut state));
             }
             state.specs.insert(assignment.spec_fp);
             self.counters.spec_transfers.fetch_add(1, Ordering::Relaxed);
         }
 
-        if write_frame(&mut state.writer, &encode_assign(assignment)).is_err() {
+        if write_frame(&mut state.writer, &ToWorker::Assign(assignment.clone())).is_err() {
             return Err(lost(slot, &mut state));
         }
 
-        // Await data_home / steal / done (in that order from a correct
-        // worker, but only `done` is load-bearing — the notifications are
+        // Await DataHome / Steal / Done (in that order from a correct
+        // worker, but only `Done` is load-bearing — the notifications are
         // cross-checked against the report they precede).
         let mut deferred: Option<u64> = None;
         let mut stolen: Option<u64> = None;
         loop {
-            let (tag, payload) = match read_tagged(&mut state.reader) {
-                Ok(parts) => parts,
+            let reply = match read_reply(&mut state.reader) {
+                Ok(reply) => reply,
                 Err(_) => return Err(lost(slot, &mut state)),
             };
-            match tag.as_str() {
-                "data_home" => match decode_data_home(&payload) {
-                    Ok((cell, bytes)) if cell == assignment.cell => deferred = Some(bytes),
-                    _ => return Err(lost(slot, &mut state)),
-                },
-                "steal" => match decode_steal(&payload) {
-                    Ok((cell, count)) if cell == assignment.cell => stolen = Some(count),
-                    _ => return Err(lost(slot, &mut state)),
-                },
-                "done" => {
-                    let (cell, report, events) =
-                        match decode_done(&payload, spec.name.clone(), policy_name) {
-                            Ok(done) => done,
-                            Err(_) => return Err(lost(slot, &mut state)),
-                        };
-                    if cell != assignment.cell {
-                        return Err(lost(slot, &mut state));
-                    }
+            match reply {
+                FromWorker::DataHome {
+                    cell,
+                    deferred_bytes,
+                } if cell == assignment.cell => deferred = Some(deferred_bytes),
+                FromWorker::Steal {
+                    cell,
+                    stolen: count,
+                } if cell == assignment.cell => stolen = Some(count),
+                FromWorker::Done(done) if done.cell == assignment.cell => {
+                    let cell = done.cell;
+                    let (report, events) = done.into_report(spec.name.clone(), policy_name);
                     if deferred != Some(report.deferred_bytes)
                         || stolen != Some(report.stolen_tasks as u64)
                     {
@@ -566,9 +548,7 @@ impl WorkerPool {
                     }
                     return Ok((report, events));
                 }
-                "error" => {
-                    let message =
-                        decode_error(&payload).unwrap_or_else(|e| format!("unreadable error: {e}"));
+                FromWorker::Error { message } => {
                     return Err(DispatchFailure::Fatal(ProcError::Worker {
                         worker: slot.id,
                         message,
@@ -580,17 +560,15 @@ impl WorkerPool {
     }
 }
 
-/// Reads and untags one frame; any failure (EOF, timeout, framing, JSON)
-/// collapses to `Err` — the caller kills the worker for all of them.
-fn read_tagged(reader: &mut BufReader<TcpStream>) -> Result<(String, Value), String> {
-    let line = match read_frame(reader) {
-        Ok(Some(line)) => line,
-        Ok(None) => return Err("worker closed the connection".to_string()),
-        Err(e) => return Err(format!("bad frame: {e}")),
-    };
-    let value: Value = serde_json::from_str(&line).map_err(|e| format!("invalid JSON: {e}"))?;
-    let (tag, payload) = untag(&value)?;
-    Ok((tag, payload.clone()))
+/// Reads and decodes one reply; any failure (EOF, timeout, framing, JSON,
+/// unknown message) collapses to `Err` — the caller kills the worker for
+/// all of them.
+fn read_reply(reader: &mut BufReader<TcpStream>) -> Result<FromWorker, String> {
+    match read_frame(reader) {
+        Ok(Some(line)) => serde_json::from_str(&line).map_err(|e| e.to_string()),
+        Ok(None) => Err("worker closed the connection".to_string()),
+        Err(e) => Err(format!("bad frame: {e}")),
+    }
 }
 
 impl Drop for WorkerPool {
@@ -603,7 +581,7 @@ impl Drop for WorkerPool {
                 continue;
             }
             let mut state = slot.lock();
-            let _ = write_frame(&mut state.writer, &encode_shutdown());
+            let _ = write_frame(&mut state.writer, &ToWorker::Shutdown);
         }
         for slot in &self.slots {
             let mut state = slot.lock();
@@ -655,7 +633,7 @@ impl<'p> CollectiveBarrier<'p> {
         let epoch = self.epoch;
         self.pending.retain(|slot| {
             let mut state = slot.lock();
-            if write_frame(&mut state.writer, &encode_barrier(epoch)).is_err() {
+            if write_frame(&mut state.writer, &ToWorker::Barrier { epoch }).is_err() {
                 slot.kill(&mut state);
                 return false;
             }
@@ -682,22 +660,14 @@ impl<'p> CollectiveBarrier<'p> {
             }
             match read_frame(&mut state.reader) {
                 Ok(Some(line)) => {
-                    let acked = serde_json::from_str(&line).ok().and_then(|value| {
-                        untag(&value).ok().and_then(|(tag, payload)| {
-                            if tag == "barrier_ack" {
-                                decode_epoch(payload, "barrier_ack").ok()
-                            } else {
-                                None
-                            }
-                        })
-                    }) == Some(epoch);
-                    if acked {
-                        false // answered: out of the pending set
-                    } else {
-                        // Anything else on a quiesced channel is corruption.
+                    // Anything but the ack on a quiesced channel is
+                    // corruption; either way the worker leaves the set.
+                    if !matches!(serde_json::from_str(&line),
+                        Ok(FromWorker::BarrierAck { epoch: acked }) if acked == epoch)
+                    {
                         slot.kill(&mut state);
-                        false
                     }
+                    false
                 }
                 Err(FrameError::Io(e))
                     if matches!(

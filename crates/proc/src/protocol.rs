@@ -2,707 +2,466 @@
 //!
 //! Every message is one newline-delimited JSON value (the framing itself —
 //! line limits, truncation detection, UTF-8 validation — lives in
-//! [`numadag_runtime::framing`], shared with the serve protocol). Messages
-//! are externally tagged, `{"assign": {...}}`, with unit messages encoded as
-//! bare strings (`"shutdown"`).
+//! [`numadag_runtime::framing`], shared with the serve protocol). The
+//! messages are two derived enums, [`ToWorker`] and [`FromWorker`], in
+//! serde's externally tagged encoding: `{"Assign": {...}}`, with unit
+//! messages as bare strings (`"Shutdown"`).
 //!
-//! Two encoding rules keep cross-process results byte-identical to
-//! in-process runs:
-//!
-//! * **`f64` travels as a JSON number.** The vendored `serde_json`
-//!   guarantees that parsing reproduces every finite shortest-round-trip
-//!   formatted number exactly, so simulated makespans survive the hop
-//!   bit-for-bit.
-//! * **`u64`/`u128` travel as lowercase hex strings.** JSON numbers pass
-//!   through an `f64`, which only holds 53 bits of integer; byte counters
-//!   and fingerprints exceed that routinely.
+//! Numbers cross the wire exactly, which keeps cross-process results
+//! byte-identical to in-process runs: integers (u64 byte counters and
+//! fingerprints, the u128 distance-weighted traffic) travel as exact JSON
+//! integers, and every finite `f64` as its shortest round-trip formatting,
+//! which the vendored `serde_json` parses back bit for bit. Bulk data — a
+//! spec's accesses and dependencies, a report's links and placements —
+//! travels as positional tuples, not objects, to keep the lines short.
 
 use std::sync::Arc;
 
-use numadag_numa::{CostModel, DistanceMatrix, NodeId, SocketId, Topology, TrafficStats};
-use numadag_runtime::framing::{
-    bool_field, f64_field, field, hex_u128, hex_u128_field, hex_u64, hex_u64_field, str_field,
-    u64_field,
-};
+use numadag_numa::{CostModel, DistanceMatrix, NodeId, RegionId, SocketId, Topology, TrafficStats};
 use numadag_runtime::{ExecutionConfig, ExecutionReport, StealMode, TaskPlacement};
 use numadag_tdg::{AccessMode, DataAccess, TaskDescriptor, TaskGraph, TaskGraphSpec, TaskId};
-use numadag_trace::{parse_event, TraceEvent};
-use serde::{Serialize, Value};
+use numadag_trace::TraceEvent;
+use serde::{Deserialize, Serialize, Value};
 
-/// Protocol version, sent in every `config` message. A worker that sees a
-/// version it does not speak replies with `error` instead of guessing.
-pub const PROTOCOL_VERSION: u64 = 1;
+/// Protocol version, sent in every config message. A worker that sees a
+/// version it does not speak replies with an error instead of guessing.
+pub const PROTOCOL_VERSION: u64 = 2;
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+/// Coordinator → worker messages.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum ToWorker {
+    /// The execution config to mirror, sent once per config fingerprint.
+    Config(WireConfig),
+    /// A workload's full task graph, shipped once per worker.
+    Spec(WireSpec),
+    /// One cell of work.
+    Assign(Assignment),
+    /// Collective barrier entry.
+    Barrier {
+        /// Echoed back in the ack.
+        epoch: u64,
+    },
+    /// Clean exit.
+    Shutdown,
 }
 
-fn tag(name: &str, payload: Value) -> Value {
-    Value::Object(vec![(name.to_string(), payload)])
+/// Worker → coordinator messages.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum FromWorker {
+    /// Rendezvous right after connecting.
+    Hello {
+        /// Slot id from the environment.
+        worker: u64,
+        /// Process id.
+        pid: u64,
+    },
+    /// The config of `epoch` is installed.
+    ConfigAck {
+        /// The acknowledged config's epoch.
+        epoch: u64,
+    },
+    /// Placement notification for the cell in flight.
+    DataHome {
+        /// Cell id of the assignment.
+        cell: u64,
+        /// Bytes the cell placed by deferred allocation (first touch).
+        deferred_bytes: u64,
+    },
+    /// Steal notification for the cell in flight.
+    Steal {
+        /// Cell id of the assignment.
+        cell: u64,
+        /// Tasks that ran on a socket other than the policy's.
+        stolen: u64,
+    },
+    /// The cell's report and trace events.
+    Done(Done),
+    /// Collective barrier exit.
+    BarrierAck {
+        /// The barrier's epoch.
+        epoch: u64,
+    },
+    /// Structured worker-side failure.
+    Error {
+        /// What went wrong.
+        message: String,
+    },
 }
-
-fn s(text: impl Into<String>) -> Value {
-    Value::String(text.into())
-}
-
-fn num(value: f64) -> Value {
-    Value::Number(value)
-}
-
-fn arr(values: Vec<Value>) -> Value {
-    Value::Array(values)
-}
-
-fn usize_field(value: &Value, variant: &str, name: &str) -> Result<usize, String> {
-    Ok(u64_field(value, variant, name)? as usize)
-}
-
-fn array_field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v [Value], String> {
-    field(value, variant, name)?
-        .as_array()
-        .map(|v| v.as_slice())
-        .ok_or_else(|| format!("{variant}.{name} is not an array"))
-}
-
-// ---------------------------------------------------------------------------
-// Coordinator → worker
-// ---------------------------------------------------------------------------
 
 /// One cell of work: run `policy` (seeded with `policy_seed`) over the spec
 /// identified by `spec_fp` and report back under id `cell`.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Assignment {
-    /// Coordinator-side cell id, echoed back in `data_home`/`steal`/`done`.
+    /// Coordinator-side cell id, echoed back in the replies.
     pub cell: u64,
-    /// Fingerprint of a spec previously shipped with a `spec` message.
+    /// Fingerprint of a spec previously shipped with a spec message.
     pub spec_fp: u64,
     /// Canonical policy label ([`numadag_core::PolicyKind`] `FromStr` form).
     pub policy: String,
     /// Seed handed to the policy factory.
     pub policy_seed: u64,
-    /// Emit `TraceEvent`s while executing and return them in `done`.
+    /// Emit `TraceEvent`s while executing and return them in `Done`.
     pub events: bool,
     /// Collect the per-task placement trace into the report.
     pub placements: bool,
 }
 
-/// Encodes the `config` message: the full [`ExecutionConfig`] a worker needs
-/// to mirror the coordinator's executor, tagged with `epoch` (the config's
-/// own fingerprint) so acks can be matched to the config they acknowledge.
-pub fn encode_config(epoch: u64, config: &ExecutionConfig) -> Value {
-    let topo = &config.topology;
-    let n = topo.num_sockets();
-    let mut distances = Vec::with_capacity(n * n);
-    for i in 0..n {
-        for j in 0..n {
-            distances.push(num(topo.distance(NodeId(i), NodeId(j)) as f64));
+/// The full [`ExecutionConfig`] a worker needs to mirror the coordinator's
+/// executor, tagged with `epoch` (the config's own fingerprint) so acks can
+/// be matched to the config they acknowledge. Trace flags and sink are
+/// per-assignment, not part of it.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct WireConfig {
+    /// [`PROTOCOL_VERSION`] of the sender.
+    pub version: u64,
+    /// The config's fingerprint, echoed in the ack.
+    pub epoch: u64,
+    /// [`Topology::name`].
+    pub machine: String,
+    /// Socket count.
+    pub sockets: usize,
+    /// Cores per socket.
+    pub cores: usize,
+    /// `sockets × sockets` NUMA distances, row-major.
+    pub distances: Vec<u32>,
+    /// [`ExecutionConfig::cost_model`]: the [`CostModel`] fields in
+    /// declaration order.
+    pub cost: (f64, f64, f64, f64, f64, f64),
+    /// [`ExecutionConfig::steal`].
+    pub steal: StealMode,
+    /// [`ExecutionConfig::stage_timing`].
+    pub stage_timing: bool,
+    /// [`ExecutionConfig::seed`].
+    pub seed: u64,
+}
+
+impl WireConfig {
+    /// The config message for `config` under `epoch`.
+    pub fn new(epoch: u64, config: &ExecutionConfig) -> Self {
+        let (topo, cost) = (&config.topology, &config.cost_model);
+        let n = topo.num_sockets();
+        WireConfig {
+            version: PROTOCOL_VERSION,
+            epoch,
+            machine: topo.name().to_string(),
+            sockets: n,
+            cores: topo.cores_per_socket(),
+            distances: (0..n * n)
+                .map(|k| topo.distance(NodeId(k / n), NodeId(k % n)))
+                .collect(),
+            cost: (
+                cost.local_bandwidth,
+                cost.local_latency,
+                cost.bandwidth_exponent,
+                cost.latency_exponent,
+                cost.contention_factor,
+                cost.time_per_work_unit,
+            ),
+            steal: config.steal,
+            stage_timing: config.stage_timing,
+            seed: config.seed,
         }
     }
-    let cost = &config.cost_model;
-    tag(
-        "config",
-        obj(vec![
-            ("version", num(PROTOCOL_VERSION as f64)),
-            ("epoch", s(hex_u64(epoch))),
-            (
-                "topology",
-                obj(vec![
-                    ("name", s(topo.name())),
-                    ("sockets", num(n as f64)),
-                    ("cores", num(topo.cores_per_socket() as f64)),
-                    ("distances", arr(distances)),
-                ]),
-            ),
-            (
-                "cost",
-                obj(vec![
-                    ("local_bandwidth", num(cost.local_bandwidth)),
-                    ("local_latency", num(cost.local_latency)),
-                    ("bandwidth_exponent", num(cost.bandwidth_exponent)),
-                    ("latency_exponent", num(cost.latency_exponent)),
-                    ("contention_factor", num(cost.contention_factor)),
-                    ("time_per_work_unit", num(cost.time_per_work_unit)),
-                ]),
-            ),
-            (
-                "steal",
-                s(match config.steal {
-                    StealMode::NearestSocket => "nearest",
-                    StealMode::NoStealing => "none",
-                }),
-            ),
-            ("stage_timing", Value::Bool(config.stage_timing)),
-            ("seed", s(hex_u64(config.seed))),
-        ]),
-    )
-}
 
-/// Decodes a `config` payload into its epoch and the reconstructed
-/// [`ExecutionConfig`] (trace flags and sink are per-assignment, not part of
-/// the shipped config).
-pub fn decode_config(payload: &Value) -> Result<(u64, ExecutionConfig), String> {
-    let version = u64_field(payload, "config", "version")?;
-    if version != PROTOCOL_VERSION {
-        return Err(format!(
-            "config.version {version} is not the supported protocol version {PROTOCOL_VERSION}"
-        ));
-    }
-    let epoch = hex_u64_field(payload, "config", "epoch")?;
-    let topo = field(payload, "config", "topology")?;
-    let name = str_field(topo, "config.topology", "name")?;
-    let sockets = usize_field(topo, "config.topology", "sockets")?;
-    let cores = usize_field(topo, "config.topology", "cores")?;
-    let distances = array_field(topo, "config.topology", "distances")?;
-    if distances.len() != sockets * sockets {
-        return Err(format!(
-            "config.topology.distances has {} entries, expected {}",
-            distances.len(),
-            sockets * sockets
-        ));
-    }
-    let values = distances
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .map(|d| d as u32)
-                .ok_or_else(|| "config.topology.distances entry is not a number".to_string())
-        })
-        .collect::<Result<Vec<u32>, String>>()?;
-    let topology = Topology::new(
-        name,
-        sockets,
-        cores,
-        DistanceMatrix::from_rows(sockets, values),
-    );
-    let cost = field(payload, "config", "cost")?;
-    let cost_model = CostModel {
-        local_bandwidth: f64_field(cost, "config.cost", "local_bandwidth")?,
-        local_latency: f64_field(cost, "config.cost", "local_latency")?,
-        bandwidth_exponent: f64_field(cost, "config.cost", "bandwidth_exponent")?,
-        latency_exponent: f64_field(cost, "config.cost", "latency_exponent")?,
-        contention_factor: f64_field(cost, "config.cost", "contention_factor")?,
-        time_per_work_unit: f64_field(cost, "config.cost", "time_per_work_unit")?,
-    };
-    let steal = match str_field(payload, "config", "steal")?.as_str() {
-        "nearest" => StealMode::NearestSocket,
-        "none" => StealMode::NoStealing,
-        other => return Err(format!("config.steal {other:?} is not a known steal mode")),
-    };
-    let mut config = ExecutionConfig::new(topology)
-        .with_cost_model(cost_model)
-        .with_steal(steal)
-        .with_seed(hex_u64_field(payload, "config", "seed")?);
-    if bool_field(payload, "config", "stage_timing")? {
-        config = config.with_stage_timing();
-    }
-    Ok((epoch, config))
-}
-
-fn encode_access(access: &DataAccess) -> Value {
-    let mode = match access.mode {
-        AccessMode::In => 0.0,
-        AccessMode::Out => 1.0,
-        AccessMode::InOut => 2.0,
-    };
-    arr(vec![
-        num(access.region.0 as f64),
-        num(mode),
-        s(hex_u64(access.bytes)),
-    ])
-}
-
-fn decode_access(value: &Value) -> Result<DataAccess, String> {
-    let parts = value
-        .as_array()
-        .ok_or_else(|| "spec access is not an array".to_string())?;
-    if parts.len() != 3 {
-        return Err(format!(
-            "spec access has {} entries, expected 3",
-            parts.len()
-        ));
-    }
-    let region = parts[0]
-        .as_u64()
-        .ok_or_else(|| "spec access region is not a number".to_string())?;
-    let mode = match parts[1].as_u64() {
-        Some(0) => AccessMode::In,
-        Some(1) => AccessMode::Out,
-        Some(2) => AccessMode::InOut,
-        _ => return Err("spec access mode is not 0, 1 or 2".to_string()),
-    };
-    let bytes = parts[2]
-        .as_str()
-        .ok_or_else(|| "spec access bytes is not a hex string".to_string())
-        .and_then(numadag_runtime::framing::parse_hex_u64)?;
-    Ok(DataAccess {
-        region: numadag_numa::RegionId(region as usize),
-        mode,
-        bytes,
-    })
-}
-
-/// Encodes the `spec` message: a complete [`TaskGraphSpec`], keyed by its
-/// fingerprint. Shipped once per worker; later assignments reference it by
-/// `fp` alone.
-pub fn encode_spec(spec: &TaskGraphSpec) -> Value {
-    let tasks = spec
-        .graph
-        .tasks()
-        .iter()
-        .map(|task| {
-            let deps = spec
-                .graph
-                .predecessors(task.id)
-                .iter()
-                .map(|(pred, bytes)| arr(vec![num(pred.0 as f64), s(hex_u64(*bytes))]))
-                .collect();
-            obj(vec![
-                ("kind", s(task.kind.as_str())),
-                ("work", num(task.work_units)),
-                (
-                    "accesses",
-                    arr(task.accesses.iter().map(encode_access).collect()),
-                ),
-                ("deps", arr(deps)),
-            ])
-        })
-        .collect();
-    let regions = spec
-        .region_sizes
-        .iter()
-        .map(|bytes| s(hex_u64(*bytes)))
-        .collect();
-    let ep = match &spec.ep_socket {
-        Some(placement) => arr(placement.iter().map(|sock| num(*sock as f64)).collect()),
-        None => Value::Null,
-    };
-    tag(
-        "spec",
-        obj(vec![
-            ("fp", s(hex_u64(spec.fingerprint()))),
-            ("name", s(spec.name.as_ref())),
-            ("tasks", arr(tasks)),
-            ("regions", arr(regions)),
-            ("ep", ep),
-        ]),
-    )
-}
-
-/// Decodes a `spec` payload into the advertised fingerprint and the rebuilt
-/// [`TaskGraphSpec`]. The rebuilt spec's own fingerprint must match the
-/// advertised one or the transfer corrupted something.
-pub fn decode_spec(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
-    let fp = hex_u64_field(payload, "spec", "fp")?;
-    let name = str_field(payload, "spec", "name")?;
-    let mut graph = TaskGraph::new();
-    for (index, task) in array_field(payload, "spec", "tasks")?.iter().enumerate() {
-        let kind = str_field(task, "spec.tasks", "kind")?;
-        let work = f64_field(task, "spec.tasks", "work")?;
-        let accesses = array_field(task, "spec.tasks", "accesses")?
-            .iter()
-            .map(decode_access)
-            .collect::<Result<Vec<_>, String>>()?;
-        let deps = array_field(task, "spec.tasks", "deps")?
-            .iter()
-            .map(|dep| {
-                let parts = dep
-                    .as_array()
-                    .ok_or_else(|| "spec dep is not an array".to_string())?;
-                if parts.len() != 2 {
-                    return Err(format!("spec dep has {} entries, expected 2", parts.len()));
-                }
-                let pred = parts[0]
-                    .as_u64()
-                    .ok_or_else(|| "spec dep predecessor is not a number".to_string())?;
-                let bytes = parts[1]
-                    .as_str()
-                    .ok_or_else(|| "spec dep bytes is not a hex string".to_string())
-                    .and_then(numadag_runtime::framing::parse_hex_u64)?;
-                Ok((TaskId(pred as usize), bytes))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let id = graph.push_task(
-            TaskDescriptor {
-                id: TaskId(index),
-                kind,
-                work_units: work,
-                accesses,
-            },
-            &deps,
-        );
-        if id.0 != index {
+    /// Rebuilds the [`ExecutionConfig`].
+    pub fn to_config(&self) -> Result<ExecutionConfig, String> {
+        if self.version != PROTOCOL_VERSION {
             return Err(format!(
-                "spec task ids are not dense: got {} at {index}",
-                id.0
+                "config.version {} is not the supported protocol version {PROTOCOL_VERSION}",
+                self.version
             ));
         }
+        let n = self.sockets;
+        if n.checked_mul(n) != Some(self.distances.len()) {
+            return Err(format!(
+                "config.distances has {} entries for {n} sockets",
+                self.distances.len()
+            ));
+        }
+        let matrix = DistanceMatrix::from_rows(n, self.distances.clone());
+        let (
+            local_bandwidth,
+            local_latency,
+            bandwidth_exponent,
+            latency_exponent,
+            contention_factor,
+            time_per_work_unit,
+        ) = self.cost;
+        let cost = CostModel {
+            local_bandwidth,
+            local_latency,
+            bandwidth_exponent,
+            latency_exponent,
+            contention_factor,
+            time_per_work_unit,
+        };
+        let mut config = ExecutionConfig::new(Topology::new(&self.machine, n, self.cores, matrix))
+            .with_cost_model(cost)
+            .with_steal(self.steal)
+            .with_seed(self.seed);
+        if self.stage_timing {
+            config = config.with_stage_timing();
+        }
+        Ok(config)
     }
-    let regions = array_field(payload, "spec", "regions")?
-        .iter()
-        .map(|bytes| {
-            bytes
-                .as_str()
-                .ok_or_else(|| "spec region size is not a hex string".to_string())
-                .and_then(numadag_runtime::framing::parse_hex_u64)
-        })
-        .collect::<Result<Vec<u64>, String>>()?;
-    let mut spec = TaskGraphSpec::new(name, graph, regions);
-    match field(payload, "spec", "ep")? {
-        Value::Null => {}
-        ep => {
-            let placement = ep
-                .as_array()
-                .ok_or_else(|| "spec.ep is not an array".to_string())?
-                .iter()
-                .map(|sock| {
-                    sock.as_u64()
-                        .map(|v| v as usize)
-                        .ok_or_else(|| "spec.ep entry is not a number".to_string())
-                })
-                .collect::<Result<Vec<usize>, String>>()?;
-            spec = spec.with_ep_placement(placement);
+}
+
+/// A complete [`TaskGraphSpec`], keyed by its fingerprint.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct WireSpec {
+    /// [`TaskGraphSpec::fingerprint`].
+    pub fp: u64,
+    /// Workload name.
+    pub name: String,
+    /// Tasks in submission order.
+    pub tasks: Vec<WireTask>,
+    /// Region sizes (bytes), indexed by region id.
+    pub regions: Vec<u64>,
+    /// The expert placement, if the workload has one.
+    pub ep: Option<Vec<usize>>,
+}
+
+/// One task of a [`WireSpec`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct WireTask {
+    /// Task kind label.
+    pub kind: String,
+    /// Work units.
+    pub work: f64,
+    /// `(region, mode, bytes)`; mode 0 is in, 1 out, 2 inout.
+    pub accesses: Vec<(usize, u8, u64)>,
+    /// `(predecessor, bytes)`.
+    pub deps: Vec<(usize, u64)>,
+}
+
+impl WireSpec {
+    /// The spec message for `spec`.
+    pub fn new(spec: &TaskGraphSpec) -> Self {
+        let graph = &spec.graph;
+        let tasks = graph
+            .tasks()
+            .iter()
+            .map(|task| WireTask {
+                kind: task.kind.clone(),
+                work: task.work_units,
+                accesses: task
+                    .accesses
+                    .iter()
+                    .map(|a| (a.region.0, a.mode as u8, a.bytes))
+                    .collect(),
+                deps: graph
+                    .predecessors(task.id)
+                    .iter()
+                    .map(|(pred, bytes)| (pred.0, *bytes))
+                    .collect(),
+            })
+            .collect();
+        WireSpec {
+            fp: spec.fingerprint(),
+            name: spec.name.to_string(),
+            tasks,
+            regions: spec.region_sizes.clone(),
+            ep: spec.ep_socket.clone(),
         }
     }
-    let rebuilt = spec.fingerprint();
-    if rebuilt != fp {
-        return Err(format!(
-            "spec fingerprint mismatch: advertised {:#x}, rebuilt {:#x}",
-            fp, rebuilt
-        ));
+
+    /// Rebuilds the spec. Its own fingerprint must match the advertised one
+    /// or the transfer corrupted something.
+    pub fn into_spec(self) -> Result<(u64, TaskGraphSpec), String> {
+        let mut graph = TaskGraph::new();
+        let mut deps = Vec::new();
+        for (index, task) in self.tasks.into_iter().enumerate() {
+            let accesses = task
+                .accesses
+                .into_iter()
+                .map(|(region, mode, bytes)| {
+                    let mode = match mode {
+                        0 => AccessMode::In,
+                        1 => AccessMode::Out,
+                        2 => AccessMode::InOut,
+                        _ => return Err(format!("spec access mode {mode} is not 0, 1 or 2")),
+                    };
+                    Ok(DataAccess {
+                        region: RegionId(region),
+                        mode,
+                        bytes,
+                    })
+                })
+                .collect::<Result<Vec<_>, String>>()?;
+            deps.clear();
+            deps.extend(task.deps.iter().map(|&(pred, bytes)| (TaskId(pred), bytes)));
+            let descriptor = TaskDescriptor {
+                id: TaskId(index),
+                kind: task.kind,
+                work_units: task.work,
+                accesses,
+            };
+            let id = graph.push_task(descriptor, &deps);
+            if id.0 != index {
+                return Err(format!(
+                    "spec task ids are not dense: got {} at {index}",
+                    id.0
+                ));
+            }
+        }
+        let mut spec = TaskGraphSpec::new(self.name, graph, self.regions);
+        if let Some(placement) = self.ep {
+            spec = spec.with_ep_placement(placement);
+        }
+        let rebuilt = spec.fingerprint();
+        if rebuilt != self.fp {
+            return Err(format!(
+                "spec fingerprint mismatch: advertised {:#x}, rebuilt {rebuilt:#x}",
+                self.fp
+            ));
+        }
+        Ok((self.fp, spec))
     }
-    Ok((fp, spec))
 }
 
-/// Encodes the `assign` message.
-pub fn encode_assign(assign: &Assignment) -> Value {
-    tag(
-        "assign",
-        obj(vec![
-            ("cell", num(assign.cell as f64)),
-            ("fp", s(hex_u64(assign.spec_fp))),
-            ("policy", s(assign.policy.as_str())),
-            ("policy_seed", s(hex_u64(assign.policy_seed))),
-            ("events", Value::Bool(assign.events)),
-            ("placements", Value::Bool(assign.placements)),
-        ]),
-    )
+/// The spec message for `spec`, as a wire value.
+pub fn encode_spec(spec: &TaskGraphSpec) -> Value {
+    ToWorker::Spec(WireSpec::new(spec)).to_value()
 }
 
-/// Decodes an `assign` payload.
-pub fn decode_assign(payload: &Value) -> Result<Assignment, String> {
-    Ok(Assignment {
-        cell: u64_field(payload, "assign", "cell")?,
-        spec_fp: hex_u64_field(payload, "assign", "fp")?,
-        policy: str_field(payload, "assign", "policy")?,
-        policy_seed: hex_u64_field(payload, "assign", "policy_seed")?,
-        events: bool_field(payload, "assign", "events")?,
-        placements: bool_field(payload, "assign", "placements")?,
-    })
+/// Decodes a spec message's payload into the advertised fingerprint and the
+/// rebuilt spec (see [`WireSpec::into_spec`]).
+pub fn decode_spec(payload: &Value) -> Result<(u64, TaskGraphSpec), String> {
+    WireSpec::from_value(payload)?.into_spec()
 }
 
-/// Encodes the `barrier` message (coordinator side of a collective barrier).
-pub fn encode_barrier(epoch: u64) -> Value {
-    tag("barrier", obj(vec![("epoch", s(hex_u64(epoch)))]))
+/// The `Done` reply: a cell's [`ExecutionReport`] and any collected
+/// [`TraceEvent`]s. The report's string labels do not travel (the
+/// coordinator re-attaches them from its own policy/workload handles, which
+/// is what keeps `policy` a `'static` literal).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Done {
+    /// Cell id of the assignment.
+    pub cell: u64,
+    /// The report.
+    pub report: WireReport,
+    /// Trace events, if the assignment asked for them.
+    pub events: Vec<TraceEvent>,
 }
 
-/// Encodes the `shutdown` message (unit: a bare string on the wire).
-pub fn encode_shutdown() -> Value {
-    s("shutdown")
+/// An [`ExecutionReport`] without its labels, its traffic flattened in.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct WireReport {
+    /// [`ExecutionReport::makespan_ns`].
+    pub makespan_ns: f64,
+    /// [`ExecutionReport::tasks`].
+    pub tasks: usize,
+    /// [`TrafficStats::local_bytes`].
+    pub local_bytes: u64,
+    /// [`TrafficStats::remote_bytes`].
+    pub remote_bytes: u64,
+    /// [`TrafficStats::deferred_allocated_bytes`].
+    pub deferred_allocated_bytes: u64,
+    /// [`TrafficStats::distance_weighted`].
+    pub distance_weighted: u128,
+    /// `(from, to, bytes)` per traffic link.
+    pub links: Vec<(usize, usize, u64)>,
+    /// [`ExecutionReport::tasks_per_socket`].
+    pub tasks_per_socket: Vec<usize>,
+    /// [`ExecutionReport::busy_per_socket`].
+    pub busy_per_socket: Vec<f64>,
+    /// [`ExecutionReport::stolen_tasks`].
+    pub stolen_tasks: usize,
+    /// [`ExecutionReport::deferred_bytes`].
+    pub deferred_bytes: u64,
+    /// [`ExecutionReport::policy_wall_ns`].
+    pub policy_wall_ns: f64,
+    /// [`ExecutionReport::event_loop_wall_ns`].
+    pub event_loop_wall_ns: f64,
+    /// `(task, socket, start, end, stolen)` per placement.
+    pub trace: Vec<(usize, usize, f64, f64, bool)>,
 }
 
-// ---------------------------------------------------------------------------
-// Worker → coordinator
-// ---------------------------------------------------------------------------
-
-/// Encodes the `hello` message a worker sends right after connecting.
-pub fn encode_hello(worker: u64, pid: u64) -> Value {
-    tag(
-        "hello",
-        obj(vec![
-            ("worker", num(worker as f64)),
-            ("pid", num(pid as f64)),
-        ]),
-    )
-}
-
-/// Decodes a `hello` payload into `(worker, pid)`.
-pub fn decode_hello(payload: &Value) -> Result<(u64, u64), String> {
-    Ok((
-        u64_field(payload, "hello", "worker")?,
-        u64_field(payload, "hello", "pid")?,
-    ))
-}
-
-/// Encodes the `config_ack` message.
-pub fn encode_config_ack(epoch: u64) -> Value {
-    tag("config_ack", obj(vec![("epoch", s(hex_u64(epoch)))]))
-}
-
-/// Decodes a `config_ack` (or `barrier`/`barrier_ack`) payload's epoch.
-pub fn decode_epoch(payload: &Value, variant: &str) -> Result<u64, String> {
-    hex_u64_field(payload, variant, "epoch")
-}
-
-/// Encodes the `data_home` notification: how many bytes the cell placed by
-/// deferred allocation (first touch) while executing.
-pub fn encode_data_home(cell: u64, deferred_bytes: u64) -> Value {
-    tag(
-        "data_home",
-        obj(vec![
-            ("cell", num(cell as f64)),
-            ("deferred_bytes", s(hex_u64(deferred_bytes))),
-        ]),
-    )
-}
-
-/// Decodes a `data_home` payload into `(cell, deferred_bytes)`.
-pub fn decode_data_home(payload: &Value) -> Result<(u64, u64), String> {
-    Ok((
-        u64_field(payload, "data_home", "cell")?,
-        hex_u64_field(payload, "data_home", "deferred_bytes")?,
-    ))
-}
-
-/// Encodes the `steal` notification: how many tasks of the cell ran on a
-/// socket other than the one the policy chose.
-pub fn encode_steal(cell: u64, stolen: u64) -> Value {
-    tag(
-        "steal",
-        obj(vec![
-            ("cell", num(cell as f64)),
-            ("stolen", num(stolen as f64)),
-        ]),
-    )
-}
-
-/// Decodes a `steal` payload into `(cell, stolen)`.
-pub fn decode_steal(payload: &Value) -> Result<(u64, u64), String> {
-    Ok((
-        u64_field(payload, "steal", "cell")?,
-        u64_field(payload, "steal", "stolen")?,
-    ))
-}
-
-/// Encodes the `barrier_ack` message.
-pub fn encode_barrier_ack(epoch: u64) -> Value {
-    tag("barrier_ack", obj(vec![("epoch", s(hex_u64(epoch)))]))
-}
-
-/// Encodes the `error` message (worker-side structured failure).
-pub fn encode_error(message: &str) -> Value {
-    tag("error", obj(vec![("message", s(message))]))
-}
-
-/// Decodes an `error` payload's message.
-pub fn decode_error(payload: &Value) -> Result<String, String> {
-    str_field(payload, "error", "message")
-}
-
-fn encode_report(report: &ExecutionReport) -> Value {
-    let traffic = &report.traffic;
-    let links = traffic
-        .link_entries()
-        .map(|((from, to), bytes)| arr(vec![num(from as f64), num(to as f64), s(hex_u64(bytes))]))
-        .collect();
-    let trace = report
-        .trace
-        .iter()
-        .map(|p| {
-            arr(vec![
-                num(p.task.0 as f64),
-                num(p.socket.0 as f64),
-                num(p.start),
-                num(p.end),
-                Value::Bool(p.stolen),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("makespan_ns", num(report.makespan_ns)),
-        ("tasks", num(report.tasks as f64)),
-        (
-            "traffic",
-            obj(vec![
-                ("local", s(hex_u64(traffic.local_bytes))),
-                ("remote", s(hex_u64(traffic.remote_bytes))),
-                ("deferred", s(hex_u64(traffic.deferred_allocated_bytes))),
-                ("dw", s(hex_u128(traffic.distance_weighted()))),
-                ("links", arr(links)),
-            ]),
-        ),
-        (
-            "tasks_per_socket",
-            arr(report
-                .tasks_per_socket
+impl Done {
+    /// The reply for `cell`.
+    pub fn new(cell: u64, report: &ExecutionReport, events: Vec<TraceEvent>) -> Self {
+        let traffic = &report.traffic;
+        let report = WireReport {
+            makespan_ns: report.makespan_ns,
+            tasks: report.tasks,
+            local_bytes: traffic.local_bytes,
+            remote_bytes: traffic.remote_bytes,
+            deferred_allocated_bytes: traffic.deferred_allocated_bytes,
+            distance_weighted: traffic.distance_weighted(),
+            links: traffic
+                .link_entries()
+                .map(|((from, to), bytes)| (from, to, bytes))
+                .collect(),
+            tasks_per_socket: report.tasks_per_socket.clone(),
+            busy_per_socket: report.busy_per_socket.clone(),
+            stolen_tasks: report.stolen_tasks,
+            deferred_bytes: report.deferred_bytes,
+            policy_wall_ns: report.policy_wall_ns,
+            event_loop_wall_ns: report.event_loop_wall_ns,
+            trace: report
+                .trace
                 .iter()
-                .map(|n| num(*n as f64))
-                .collect()),
-        ),
-        (
-            "busy_per_socket",
-            arr(report.busy_per_socket.iter().map(|b| num(*b)).collect()),
-        ),
-        ("stolen_tasks", num(report.stolen_tasks as f64)),
-        ("deferred_bytes", s(hex_u64(report.deferred_bytes))),
-        ("policy_wall_ns", num(report.policy_wall_ns)),
-        ("event_loop_wall_ns", num(report.event_loop_wall_ns)),
-        ("trace", arr(trace)),
-    ])
-}
+                .map(|p| (p.task.0, p.socket.0, p.start, p.end, p.stolen))
+                .collect(),
+        };
+        Done {
+            cell,
+            report,
+            events,
+        }
+    }
 
-fn decode_report(
-    payload: &Value,
-    workload: Arc<str>,
-    policy: &'static str,
-) -> Result<ExecutionReport, String> {
-    let traffic_value = field(payload, "done.report", "traffic")?;
-    let links = array_field(traffic_value, "done.report.traffic", "links")?
-        .iter()
-        .map(|link| {
-            let parts = link
-                .as_array()
-                .ok_or_else(|| "traffic link is not an array".to_string())?;
-            if parts.len() != 3 {
-                return Err(format!(
-                    "traffic link has {} entries, expected 3",
-                    parts.len()
-                ));
-            }
-            let from = parts[0]
-                .as_u64()
-                .ok_or_else(|| "traffic link from is not a number".to_string())?;
-            let to = parts[1]
-                .as_u64()
-                .ok_or_else(|| "traffic link to is not a number".to_string())?;
-            let bytes = parts[2]
-                .as_str()
-                .ok_or_else(|| "traffic link bytes is not a hex string".to_string())
-                .and_then(numadag_runtime::framing::parse_hex_u64)?;
-            Ok(((from as usize, to as usize), bytes))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let traffic = TrafficStats::from_parts(
-        hex_u64_field(traffic_value, "done.report.traffic", "local")?,
-        hex_u64_field(traffic_value, "done.report.traffic", "remote")?,
-        hex_u64_field(traffic_value, "done.report.traffic", "deferred")?,
-        links,
-        hex_u128_field(traffic_value, "done.report.traffic", "dw")?,
-    );
-    let tasks_per_socket = array_field(payload, "done.report", "tasks_per_socket")?
-        .iter()
-        .map(|n| {
-            n.as_u64()
-                .map(|v| v as usize)
-                .ok_or_else(|| "tasks_per_socket entry is not a number".to_string())
-        })
-        .collect::<Result<Vec<usize>, String>>()?;
-    let busy_per_socket = array_field(payload, "done.report", "busy_per_socket")?
-        .iter()
-        .map(|b| {
-            b.as_f64()
-                .ok_or_else(|| "busy_per_socket entry is not a number".to_string())
-        })
-        .collect::<Result<Vec<f64>, String>>()?;
-    let trace = array_field(payload, "done.report", "trace")?
-        .iter()
-        .map(|p| {
-            let parts = p
-                .as_array()
-                .ok_or_else(|| "trace entry is not an array".to_string())?;
-            if parts.len() != 5 {
-                return Err(format!(
-                    "trace entry has {} entries, expected 5",
-                    parts.len()
-                ));
-            }
-            Ok(TaskPlacement {
-                task: TaskId(
-                    parts[0]
-                        .as_u64()
-                        .ok_or_else(|| "trace task is not a number".to_string())?
-                        as usize,
-                ),
-                socket: SocketId(
-                    parts[1]
-                        .as_u64()
-                        .ok_or_else(|| "trace socket is not a number".to_string())?
-                        as usize,
-                ),
-                start: parts[2]
-                    .as_f64()
-                    .ok_or_else(|| "trace start is not a number".to_string())?,
-                end: parts[3]
-                    .as_f64()
-                    .ok_or_else(|| "trace end is not a number".to_string())?,
-                stolen: parts[4]
-                    .as_bool()
-                    .ok_or_else(|| "trace stolen is not a bool".to_string())?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(ExecutionReport {
-        workload,
-        policy,
-        makespan_ns: f64_field(payload, "done.report", "makespan_ns")?,
-        tasks: usize_field(payload, "done.report", "tasks")?,
-        traffic,
-        tasks_per_socket,
-        busy_per_socket,
-        stolen_tasks: usize_field(payload, "done.report", "stolen_tasks")?,
-        deferred_bytes: hex_u64_field(payload, "done.report", "deferred_bytes")?,
-        policy_wall_ns: f64_field(payload, "done.report", "policy_wall_ns")?,
-        event_loop_wall_ns: f64_field(payload, "done.report", "event_loop_wall_ns")?,
-        trace,
-    })
-}
-
-/// Encodes the `done` message carrying the cell's full [`ExecutionReport`]
-/// and any collected [`TraceEvent`]s. The report's string labels do not
-/// travel (the coordinator re-attaches them from its own policy/workload
-/// handles, which is what keeps `policy` a `'static` literal).
-pub fn encode_done(cell: u64, report: &ExecutionReport, events: &[TraceEvent]) -> Value {
-    tag(
-        "done",
-        obj(vec![
-            ("cell", num(cell as f64)),
-            ("report", encode_report(report)),
-            (
-                "events",
-                arr(events.iter().map(|event| event.to_value()).collect()),
+    /// The report, labelled with the `workload` and `policy` the coordinator
+    /// knows the cell id maps to, and the events.
+    pub fn into_report(
+        self,
+        workload: Arc<str>,
+        policy: &'static str,
+    ) -> (ExecutionReport, Vec<TraceEvent>) {
+        let r = self.report;
+        let report = ExecutionReport {
+            workload,
+            policy,
+            makespan_ns: r.makespan_ns,
+            tasks: r.tasks,
+            traffic: TrafficStats::from_parts(
+                r.local_bytes,
+                r.remote_bytes,
+                r.deferred_allocated_bytes,
+                r.links
+                    .into_iter()
+                    .map(|(from, to, bytes)| ((from, to), bytes)),
+                r.distance_weighted,
             ),
-        ]),
-    )
-}
-
-/// Decodes a `done` payload. `workload` and `policy` are supplied by the
-/// coordinator (it knows which assignment the cell id maps to).
-pub fn decode_done(
-    payload: &Value,
-    workload: Arc<str>,
-    policy: &'static str,
-) -> Result<(u64, ExecutionReport, Vec<TraceEvent>), String> {
-    let cell = u64_field(payload, "done", "cell")?;
-    let report = decode_report(field(payload, "done", "report")?, workload, policy)?;
-    let events = array_field(payload, "done", "events")?
-        .iter()
-        .map(parse_event)
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok((cell, report, events))
+            tasks_per_socket: r.tasks_per_socket,
+            busy_per_socket: r.busy_per_socket,
+            stolen_tasks: r.stolen_tasks,
+            deferred_bytes: r.deferred_bytes,
+            policy_wall_ns: r.policy_wall_ns,
+            event_loop_wall_ns: r.event_loop_wall_ns,
+            trace: r
+                .trace
+                .into_iter()
+                .map(|(task, socket, start, end, stolen)| TaskPlacement {
+                    task: TaskId(task),
+                    socket: SocketId(socket),
+                    start,
+                    end,
+                    stolen,
+                })
+                .collect(),
+        };
+        (report, self.events)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use numadag_runtime::framing::{to_line, untag};
-    use numadag_tdg::TaskGraphSpec;
 
-    fn roundtrip(value: &Value) -> Value {
-        serde_json::from_str(&to_line(value)).expect("wire line parses back")
+    fn roundtrip<T: Serialize + Deserialize>(message: &T) -> T {
+        serde_json::from_str(&to_line(message)).expect("wire line decodes back")
     }
 
     fn sample_spec() -> TaskGraphSpec {
@@ -713,7 +472,7 @@ mod tests {
                 kind: "init".to_string(),
                 work_units: 3.5,
                 accesses: vec![DataAccess {
-                    region: numadag_numa::RegionId(0),
+                    region: RegionId(0),
                     mode: AccessMode::Out,
                     bytes: 1 << 60,
                 }],
@@ -726,7 +485,7 @@ mod tests {
                 kind: "use".to_string(),
                 work_units: 0.25,
                 accesses: vec![DataAccess {
-                    region: numadag_numa::RegionId(0),
+                    region: RegionId(0),
                     mode: AccessMode::In,
                     bytes: 4096,
                 }],
@@ -743,11 +502,12 @@ mod tests {
             .with_steal(StealMode::NoStealing)
             .with_seed(0xF1617E_00F1617E)
             .with_stage_timing();
-        let wire = roundtrip(&encode_config(7, &config));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "config");
-        let (epoch, decoded) = decode_config(payload).unwrap();
-        assert_eq!(epoch, 7);
+        let message = ToWorker::Config(WireConfig::new(7, &config));
+        let ToWorker::Config(wire) = roundtrip(&message) else {
+            panic!("expected Config");
+        };
+        assert_eq!(wire.epoch, 7);
+        let decoded = wire.to_config().unwrap();
         assert_eq!(decoded.topology, config.topology);
         assert_eq!(decoded.cost_model, config.cost_model);
         assert_eq!(decoded.steal, config.steal);
@@ -756,11 +516,19 @@ mod tests {
     }
 
     #[test]
+    fn config_of_another_protocol_version_is_refused() {
+        let mut wire = WireConfig::new(1, &ExecutionConfig::new(Topology::bullion_s16()));
+        wire.version = 1;
+        let err = wire.to_config().unwrap_err();
+        assert!(err.contains("protocol version"), "{err}");
+    }
+
+    #[test]
     fn spec_round_trips_and_fingerprint_is_verified() {
         let spec = sample_spec();
-        let wire = roundtrip(&encode_spec(&spec));
+        let wire: Value = serde_json::from_str(&to_line(&encode_spec(&spec))).unwrap();
         let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "spec");
+        assert_eq!(name, "Spec");
         let (fp, decoded) = decode_spec(payload).unwrap();
         assert_eq!(fp, spec.fingerprint());
         assert_eq!(decoded.fingerprint(), spec.fingerprint());
@@ -773,79 +541,57 @@ mod tests {
 
     #[test]
     fn corrupted_spec_fails_the_fingerprint_check() {
-        let spec = sample_spec();
-        let wire = roundtrip(&encode_spec(&spec));
-        let (_, payload) = untag(&wire).unwrap();
         // Flip one region size while keeping the advertised fingerprint.
-        let mut tampered = payload.clone();
-        if let Value::Object(fields) = &mut tampered {
-            for (key, value) in fields.iter_mut() {
-                if key == "regions" {
-                    *value = arr(vec![s(hex_u64(42))]);
-                }
-            }
-        }
-        let err = decode_spec(&tampered).unwrap_err();
+        let mut wire = roundtrip(&WireSpec::new(&sample_spec()));
+        wire.regions = vec![42];
+        let err = wire.into_spec().unwrap_err();
         assert!(err.contains("fingerprint mismatch"), "{err}");
+        let mut wire = WireSpec::new(&sample_spec());
+        wire.tasks[0].accesses[0].1 = 3;
+        let err = wire.into_spec().unwrap_err();
+        assert!(err.contains("access mode 3"), "{err}");
     }
 
     #[test]
     fn assignment_round_trips() {
-        let assign = Assignment {
+        let message = ToWorker::Assign(Assignment {
             cell: 9000,
             spec_fp: u64::MAX - 3,
             policy: "rgp+las".to_string(),
             policy_seed: 0xF1617E,
             events: true,
             placements: false,
-        };
-        let wire = roundtrip(&encode_assign(&assign));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "assign");
-        assert_eq!(decode_assign(payload).unwrap(), assign);
+        });
+        assert_eq!(roundtrip(&message), message);
     }
 
     #[test]
     fn control_messages_round_trip() {
-        let wire = roundtrip(&encode_hello(3, 4242));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "hello");
-        assert_eq!(decode_hello(payload).unwrap(), (3, 4242));
-
-        let wire = roundtrip(&encode_barrier(u64::MAX));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "barrier");
-        assert_eq!(decode_epoch(payload, "barrier").unwrap(), u64::MAX);
-
-        let wire = roundtrip(&encode_barrier_ack(2));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "barrier_ack");
-        assert_eq!(decode_epoch(payload, "barrier_ack").unwrap(), 2);
-
-        let wire = roundtrip(&encode_config_ack(5));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "config_ack");
-        assert_eq!(decode_epoch(payload, "config_ack").unwrap(), 5);
-
-        let wire = roundtrip(&encode_data_home(11, u64::MAX));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "data_home");
-        assert_eq!(decode_data_home(payload).unwrap(), (11, u64::MAX));
-
-        let wire = roundtrip(&encode_steal(12, 7));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "steal");
-        assert_eq!(decode_steal(payload).unwrap(), (12, 7));
-
-        let wire = roundtrip(&encode_error("boom"));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "error");
-        assert_eq!(decode_error(payload).unwrap(), "boom");
-
-        let wire = roundtrip(&encode_shutdown());
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "shutdown");
-        assert!(matches!(payload, Value::Null));
+        for message in [ToWorker::Barrier { epoch: u64::MAX }, ToWorker::Shutdown] {
+            assert_eq!(roundtrip(&message), message);
+        }
+        assert_eq!(to_line(&ToWorker::Shutdown), "\"Shutdown\"");
+        for message in [
+            FromWorker::Hello {
+                worker: 3,
+                pid: 4242,
+            },
+            FromWorker::ConfigAck { epoch: 5 },
+            FromWorker::DataHome {
+                cell: 11,
+                deferred_bytes: u64::MAX,
+            },
+            FromWorker::Steal {
+                cell: 12,
+                stolen: 7,
+            },
+            FromWorker::BarrierAck { epoch: 2 },
+            FromWorker::Error {
+                message: "boom".to_string(),
+            },
+        ] {
+            assert_eq!(roundtrip(&message), message);
+        }
     }
 
     #[test]
@@ -890,12 +636,14 @@ mod tests {
                 time: 9.75,
             },
         ];
-        let wire = roundtrip(&encode_done(77, &report, &events));
-        let (name, payload) = untag(&wire).unwrap();
-        assert_eq!(name, "done");
-        let (cell, decoded, decoded_events) =
-            decode_done(payload, Arc::from("wire-spec"), "RGP+LAS").unwrap();
-        assert_eq!(cell, 77);
+        let message = FromWorker::Done(Done::new(77, &report, events.clone()));
+        let FromWorker::Done(done) = roundtrip(&message) else {
+            panic!("expected Done");
+        };
+        assert_eq!(FromWorker::Done(done.clone()), message);
+        assert_eq!(done.cell, 77);
+        let (decoded, decoded_events) = done.into_report(Arc::from("wire-spec"), "RGP+LAS");
+        assert_eq!(decoded_events, events);
         assert_eq!(decoded.workload.as_ref(), "wire-spec");
         assert_eq!(decoded.policy, "RGP+LAS");
         assert_eq!(decoded.makespan_ns.to_bits(), report.makespan_ns.to_bits());
@@ -921,6 +669,5 @@ mod tests {
         assert_eq!(decoded.stolen_tasks, report.stolen_tasks);
         assert_eq!(decoded.deferred_bytes, report.deferred_bytes);
         assert_eq!(decoded.trace, report.trace);
-        assert_eq!(decoded_events, events);
     }
 }

@@ -4,8 +4,8 @@
 //! [`crate::maybe_run_worker`]: the pool self-execs `current_exe()` with a
 //! `--proc-worker` argument and passes the coordinator's socket address via
 //! the environment. The worker connects back, introduces itself with
-//! `hello`, and then serves a simple request loop — `config`, `spec`,
-//! `assign`, `barrier`, `shutdown` — until the coordinator closes the
+//! `Hello`, and then serves a simple request loop — `Config`, `Spec`,
+//! `Assign`, `Barrier`, `Shutdown` — until the coordinator closes the
 //! conversation. All randomness comes from the seeds in the messages, so a
 //! cell executed here is byte-identical to the same cell executed by an
 //! in-process [`Simulator`].
@@ -16,16 +16,12 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use numadag_core::{make_policy, PolicyKind};
-use numadag_runtime::framing::{read_frame, untag, write_frame, FrameError};
-use numadag_runtime::{ExecutionConfig, Simulator};
+use numadag_runtime::framing::{read_frame, write_frame, FrameError};
+use numadag_runtime::{ExecutionConfig, ExecutionReport, Simulator};
 use numadag_tdg::TaskGraphSpec;
-use numadag_trace::MemorySink;
-use serde::Value;
+use numadag_trace::{MemorySink, TraceEvent};
 
-use crate::protocol::{
-    decode_assign, decode_config, decode_epoch, decode_spec, encode_barrier_ack, encode_config_ack,
-    encode_data_home, encode_done, encode_error, encode_hello, encode_steal,
-};
+use crate::protocol::{Assignment, Done, FromWorker, ToWorker};
 
 /// Environment variable carrying the coordinator's `host:port`.
 pub const CONNECT_ENV: &str = "NUMADAG_PROC_CONNECT";
@@ -100,14 +96,13 @@ fn run_worker(
 ) -> Result<(), String> {
     use std::io::Write as _;
 
-    let send = |writer: &mut TcpStream, value: &Value| -> Result<(), String> {
-        write_frame(writer, value).map_err(|e| format!("write to coordinator failed: {e}"))
+    let send = |writer: &mut TcpStream, message: FromWorker| -> Result<(), String> {
+        write_frame(writer, &message).map_err(|e| format!("write to coordinator failed: {e}"))
     };
+    let error = |message: String| FromWorker::Error { message };
 
-    send(
-        &mut writer,
-        &encode_hello(worker, std::process::id() as u64),
-    )?;
+    let pid = u64::from(std::process::id());
+    send(&mut writer, FromWorker::Hello { worker, pid })?;
 
     let mut base_config: Option<ExecutionConfig> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
@@ -121,108 +116,44 @@ fn run_worker(
             Err(e) => {
                 // A malformed frame *from the coordinator* is unrecoverable
                 // (framing is lost), but say so before going.
-                let _ = write_frame(&mut writer, &encode_error(&format!("bad frame: {e}")));
+                let _ = send(&mut writer, error(format!("bad frame: {e}")));
                 return Err(format!("coordinator sent an unreadable frame: {e}"));
             }
         };
-        let value: Value = match serde_json::from_str(&line) {
-            Ok(value) => value,
+        let message = match serde_json::from_str(&line) {
+            Ok(message) => message,
             Err(e) => {
-                let _ = write_frame(&mut writer, &encode_error(&format!("bad frame: {e}")));
-                return Err(format!("coordinator sent invalid JSON: {e}"));
-            }
-        };
-        let (tag, payload) = match untag(&value) {
-            Ok(parts) => parts,
-            Err(e) => {
-                send(&mut writer, &encode_error(&format!("bad envelope: {e}")))?;
+                send(&mut writer, error(format!("bad message: {e}")))?;
                 continue;
             }
         };
-        match tag.as_str() {
-            "config" => match decode_config(payload) {
-                Ok((epoch, config)) => {
+        match message {
+            ToWorker::Config(wire) => match wire.to_config() {
+                Ok(config) => {
                     base_config = Some(config);
-                    send(&mut writer, &encode_config_ack(epoch))?;
+                    send(&mut writer, FromWorker::ConfigAck { epoch: wire.epoch })?;
                 }
-                Err(e) => send(&mut writer, &encode_error(&format!("bad config: {e}")))?,
+                Err(e) => send(&mut writer, error(format!("bad config: {e}")))?,
             },
-            "spec" => match decode_spec(payload) {
+            ToWorker::Spec(wire) => match wire.into_spec() {
                 Ok((fp, spec)) => {
                     specs.insert(fp, spec);
                 }
-                Err(e) => send(&mut writer, &encode_error(&format!("bad spec: {e}")))?,
+                Err(e) => send(&mut writer, error(format!("bad spec: {e}")))?,
             },
-            "assign" => {
+            ToWorker::Assign(assign) => {
                 assigns_seen += 1;
                 if matches!(faults.crash_after, Some(n) if assigns_seen > n) {
                     // Simulated crash: die without a word, mid-cell.
                     std::process::exit(3);
                 }
-                let assign = match decode_assign(payload) {
-                    Ok(assign) => assign,
-                    Err(e) => {
-                        send(&mut writer, &encode_error(&format!("bad assign: {e}")))?;
+                let (report, events) = match run_cell(&assign, base_config.as_ref(), &specs) {
+                    Ok(ran) => ran,
+                    Err(message) => {
+                        send(&mut writer, error(message))?;
                         continue;
                     }
                 };
-                let config = match &base_config {
-                    Some(config) => config,
-                    None => {
-                        send(
-                            &mut writer,
-                            &encode_error("assign before any config was shipped"),
-                        )?;
-                        continue;
-                    }
-                };
-                let spec = match specs.get(&assign.spec_fp) {
-                    Some(spec) => spec,
-                    None => {
-                        send(
-                            &mut writer,
-                            &encode_error(&format!(
-                                "assign references unknown spec {:#x}",
-                                assign.spec_fp
-                            )),
-                        )?;
-                        continue;
-                    }
-                };
-                let kind = match assign.policy.parse::<PolicyKind>() {
-                    Ok(kind) => kind,
-                    Err(e) => {
-                        send(&mut writer, &encode_error(&format!("bad policy: {e}")))?;
-                        continue;
-                    }
-                };
-                let mut policy = match make_policy(kind, spec, assign.policy_seed) {
-                    Some(policy) => policy,
-                    None => {
-                        send(
-                            &mut writer,
-                            &encode_error(&format!(
-                                "policy {:?} is unavailable for workload {:?} \
-                                 (no expert placement?)",
-                                assign.policy, spec.name
-                            )),
-                        )?;
-                        continue;
-                    }
-                };
-                let mut cell_config = config.clone();
-                if assign.placements {
-                    cell_config = cell_config.with_trace();
-                }
-                let sink = if assign.events {
-                    let sink = Arc::new(MemorySink::new());
-                    cell_config = cell_config.with_trace_sink(sink.clone());
-                    Some(sink)
-                } else {
-                    None
-                };
-                let report = Simulator::new(cell_config).run(spec, policy.as_mut());
-                let events = sink.map(|s| s.take()).unwrap_or_default();
                 if matches!(faults.garbage_after, Some(n) if assigns_seen > n) {
                     // Simulated corruption: an unparseable line where the
                     // replies should be.
@@ -231,27 +162,56 @@ fn run_worker(
                         .map_err(|e| format!("write to coordinator failed: {e}"))?;
                     continue;
                 }
+                let cell = assign.cell;
+                let deferred_bytes = report.deferred_bytes;
                 send(
                     &mut writer,
-                    &encode_data_home(assign.cell, report.deferred_bytes),
+                    FromWorker::DataHome {
+                        cell,
+                        deferred_bytes,
+                    },
                 )?;
+                let stolen = report.stolen_tasks as u64;
+                send(&mut writer, FromWorker::Steal { cell, stolen })?;
                 send(
                     &mut writer,
-                    &encode_steal(assign.cell, report.stolen_tasks as u64),
-                )?;
-                send(&mut writer, &encode_done(assign.cell, &report, &events))?;
-            }
-            "barrier" => match decode_epoch(payload, "barrier") {
-                Ok(epoch) => send(&mut writer, &encode_barrier_ack(epoch))?,
-                Err(e) => send(&mut writer, &encode_error(&format!("bad barrier: {e}")))?,
-            },
-            "shutdown" => return Ok(()),
-            other => {
-                send(
-                    &mut writer,
-                    &encode_error(&format!("unknown message {other:?}")),
+                    FromWorker::Done(Done::new(cell, &report, events)),
                 )?;
             }
+            ToWorker::Barrier { epoch } => send(&mut writer, FromWorker::BarrierAck { epoch })?,
+            ToWorker::Shutdown => return Ok(()),
         }
     }
+}
+
+/// Executes one assignment against the shipped config and specs.
+fn run_cell(
+    assign: &Assignment,
+    config: Option<&ExecutionConfig>,
+    specs: &HashMap<u64, TaskGraphSpec>,
+) -> Result<(ExecutionReport, Vec<TraceEvent>), String> {
+    let config = config.ok_or("assign before any config was shipped")?;
+    let spec = specs
+        .get(&assign.spec_fp)
+        .ok_or_else(|| format!("assign references unknown spec {:#x}", assign.spec_fp))?;
+    let kind = assign
+        .policy
+        .parse::<PolicyKind>()
+        .map_err(|e| format!("bad policy: {e}"))?;
+    let mut policy = make_policy(kind, spec, assign.policy_seed).ok_or_else(|| {
+        format!(
+            "policy {:?} is unavailable for workload {:?} (no expert placement?)",
+            assign.policy, spec.name
+        )
+    })?;
+    let mut cell_config = config.clone();
+    if assign.placements {
+        cell_config = cell_config.with_trace();
+    }
+    let sink = assign.events.then(|| Arc::new(MemorySink::new()));
+    if let Some(sink) = &sink {
+        cell_config = cell_config.with_trace_sink(sink.clone());
+    }
+    let report = Simulator::new(cell_config).run(spec, policy.as_mut());
+    Ok((report, sink.map(|s| s.take()).unwrap_or_default()))
 }

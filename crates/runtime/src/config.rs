@@ -4,9 +4,10 @@ use std::sync::Arc;
 
 use numadag_numa::{CostModel, Topology};
 use numadag_trace::{NullSink, TraceSink};
+use serde::{Deserialize, Serialize};
 
 /// What an idle core does when its socket's queue is empty.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum StealMode {
     /// Steal from the nearest socket (by NUMA distance) that has queued
     /// tasks. This is how socket-aware runtimes (Nanos++, OpenStream) behave

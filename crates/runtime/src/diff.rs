@@ -11,10 +11,7 @@
 //! regenerated `BENCH_figure1_tiny.json` is measurement-identical to the
 //! committed one.
 
-use serde::Value;
-
-use crate::driver::SweepTiming;
-use crate::experiment::{SweepAggregate, SweepCell, SweepReport};
+use crate::experiment::{SweepCell, SweepReport};
 
 /// The changes one measurement field underwent between two reports.
 #[derive(Clone, Debug, PartialEq)]
@@ -242,148 +239,7 @@ impl SweepReport {
     /// or [`SweepReport::to_json_string_with_timing`]. A missing timing
     /// section parses as zeroed accounting.
     pub fn from_json_str(text: &str) -> Result<SweepReport, String> {
-        let value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let cells = get_array(&value, "cells")?
-            .iter()
-            .map(parse_cell)
-            .collect::<Result<Vec<_>, _>>()?;
-        let aggregates = get_array(&value, "aggregates")?
-            .iter()
-            .map(parse_aggregate)
-            .collect::<Result<Vec<_>, _>>()?;
-        let skipped = get_array(&value, "skipped")?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "skipped entries must be strings".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(SweepReport {
-            machine: get_str(&value, "machine")?,
-            backend: get_str(&value, "backend")?,
-            baseline: get_str(&value, "baseline")?,
-            seed: get_u64(&value, "seed")?,
-            repetitions: get_u64(&value, "repetitions")? as usize,
-            cells,
-            aggregates,
-            skipped,
-            timing: value
-                .get("timing")
-                .map(parse_timing)
-                .transpose()?
-                .unwrap_or_default(),
-        })
-    }
-}
-
-fn get_str(value: &Value, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn get_f64(value: &Value, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn get_u64(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field {key:?}"))
-}
-
-fn get_array<'v>(value: &'v Value, key: &str) -> Result<&'v Vec<Value>, String> {
-    value
-        .get(key)
-        .and_then(Value::as_array)
-        .ok_or_else(|| format!("missing array field {key:?}"))
-}
-
-fn parse_cell(value: &Value) -> Result<SweepCell, String> {
-    Ok(SweepCell {
-        application: get_str(value, "application")?,
-        scale: get_str(value, "scale")?,
-        policy: get_str(value, "policy")?,
-        repetition: get_u64(value, "repetition")? as usize,
-        tasks: get_u64(value, "tasks")? as usize,
-        makespan_ns: get_f64(value, "makespan_ns")?,
-        speedup_vs_baseline: get_f64(value, "speedup_vs_baseline")?,
-        local_fraction: get_f64(value, "local_fraction")?,
-        load_imbalance: get_f64(value, "load_imbalance")?,
-        steal_fraction: get_f64(value, "steal_fraction")?,
-        deferred_bytes: get_u64(value, "deferred_bytes")?,
-    })
-}
-
-fn parse_aggregate(value: &Value) -> Result<SweepAggregate, String> {
-    Ok(SweepAggregate {
-        scale: get_str(value, "scale")?,
-        policy: get_str(value, "policy")?,
-        geomean_speedup: get_f64(value, "geomean_speedup")?,
-        applications: get_u64(value, "applications")? as usize,
-    })
-}
-
-fn parse_timing(value: &Value) -> Result<SweepTiming, String> {
-    Ok(SweepTiming {
-        jobs: get_u64(value, "jobs")? as usize,
-        total_wall_ns: get_f64(value, "total_wall_ns")?,
-        build_wall_ns: get_f64(value, "build_wall_ns")?,
-        run_wall_ns: get_f64(value, "run_wall_ns")?,
-        spec_builds: get_u64(value, "spec_builds")? as usize,
-        spec_cache_hits: get_u64(value, "spec_cache_hits")? as usize,
-        // Global-cache counters arrived with the sweep service; reports
-        // written before then simply lack the fields.
-        spec_cache_total_builds: get_u64(value, "spec_cache_total_builds").unwrap_or(0) as usize,
-        spec_cache_total_hits: get_u64(value, "spec_cache_total_hits").unwrap_or(0) as usize,
-        cell_wall_ns: get_array(value, "cell_wall_ns")?
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| "cell_wall_ns entries must be numbers".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        // Partition-cost vectors arrived after the first timed reports were
-        // written; older files simply have none.
-        cell_partition_windows: match get_array(value, "cell_partition_windows") {
-            Ok(values) => values
-                .iter()
-                .map(|v| {
-                    v.as_u64().map(|n| n as usize).ok_or_else(|| {
-                        "cell_partition_windows entries must be integers".to_string()
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            Err(_) => Vec::new(),
-        },
-        cell_partition_wall_ns: parse_f64_vec(value, "cell_partition_wall_ns")?,
-        // Per-stage vectors (policy vs event loop) arrived with the hot-path
-        // overhaul; older reports lack them.
-        cell_policy_wall_ns: parse_f64_vec(value, "cell_policy_wall_ns")?,
-        cell_event_loop_wall_ns: parse_f64_vec(value, "cell_event_loop_wall_ns")?,
-    })
-}
-
-/// Parses an optional array of numbers from a timing section: a missing key
-/// yields an empty vector (reports written before the field existed), a
-/// present key with non-numeric entries is an error.
-fn parse_f64_vec(value: &Value, key: &str) -> Result<Vec<f64>, String> {
-    match get_array(value, key) {
-        Ok(values) => values
-            .iter()
-            .map(|v| {
-                v.as_f64()
-                    .ok_or_else(|| format!("{key} entries must be numbers"))
-            })
-            .collect(),
-        Err(_) => Ok(Vec::new()),
+        serde_json::from_str(text).map_err(|e| e.to_string())
     }
 }
 
@@ -513,7 +369,7 @@ mod tests {
         assert!(SweepReport::from_json_str("not json").is_err());
         assert!(SweepReport::from_json_str("{}")
             .unwrap_err()
-            .contains("cells"));
+            .contains("machine"));
         let missing_field = r#"{"machine":"m","backend":"b","baseline":"LAS","seed":1,
             "repetitions":1,"cells":[{"application":"a"}],"aggregates":[],"skipped":[]}"#;
         assert!(SweepReport::from_json_str(missing_field).is_err());

@@ -15,13 +15,11 @@
 //! * invalid UTF-8 is [`FrameError::InvalidUtf8`] instead of a panic or a
 //!   lossy re-decode.
 //!
-//! On top of the line layer it carries the envelope helpers both protocols
-//! use to decode serde's externally-tagged enum encoding (`"Stats"`,
-//! `{"Status": {"job": 1}}`): [`untag`] plus typed field accessors. Values
-//! that must cross the wire bit-exactly but do not survive the `f64`-backed
-//! JSON number representation (u64 fingerprints and seeds above 2^53, u128
-//! counters) travel as lowercase hex strings via [`hex_u64`]/[`hex_u128`]
-//! and their parsing counterparts.
+//! Messages themselves are `#[derive(Serialize, Deserialize)]` enums in
+//! serde's externally-tagged encoding (`"Stats"`, `{"Status": {"job": 1}}`);
+//! integers, including u64 fingerprints and u128 counters, travel as exact
+//! JSON integers. [`untag`] splits an envelope for callers that inspect the
+//! tag before decoding the payload.
 
 use std::io::{BufRead, Read, Write};
 
@@ -89,7 +87,7 @@ impl FrameError {
 
 /// Serializes a message to its one-line wire form (no trailing newline).
 pub fn to_line(value: &impl Serialize) -> String {
-    serde_json::to_string(&value.to_value()).expect("message values are always encodable")
+    serde_json::to_string(value).expect("message values are always encodable")
 }
 
 /// Writes one frame: the compact one-line serialization plus the newline.
@@ -141,81 +139,7 @@ pub fn read_frame_with_limit(
 /// Splits an externally-tagged envelope into `(variant, payload)`. Unit
 /// variants arrive as bare strings and yield `Value::Null` payloads.
 pub fn untag(value: &Value) -> Result<(String, &Value), String> {
-    match value {
-        Value::String(tag) => Ok((tag.clone(), &Value::Null)),
-        Value::Object(entries) if entries.len() == 1 => Ok((entries[0].0.clone(), &entries[0].1)),
-        _ => Err("expected a string tag or a single-key object envelope".to_string()),
-    }
-}
-
-/// Looks up a required field of a payload object, naming the enclosing
-/// variant in the error.
-pub fn field<'v>(value: &'v Value, variant: &str, name: &str) -> Result<&'v Value, String> {
-    value
-        .get(name)
-        .ok_or_else(|| format!("{variant} is missing field {name:?}"))
-}
-
-/// A required string field.
-pub fn str_field(value: &Value, variant: &str, name: &str) -> Result<String, String> {
-    field(value, variant, name)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{variant}.{name} must be a string"))
-}
-
-/// A required unsigned-integer field. JSON numbers are `f64`-backed, so this
-/// is only exact below 2^53 — use [`hex_u64_field`] for full-range values.
-pub fn u64_field(value: &Value, variant: &str, name: &str) -> Result<u64, String> {
-    field(value, variant, name)?
-        .as_u64()
-        .ok_or_else(|| format!("{variant}.{name} must be an unsigned integer"))
-}
-
-/// A required boolean field.
-pub fn bool_field(value: &Value, variant: &str, name: &str) -> Result<bool, String> {
-    field(value, variant, name)?
-        .as_bool()
-        .ok_or_else(|| format!("{variant}.{name} must be a boolean"))
-}
-
-/// A required floating-point field.
-pub fn f64_field(value: &Value, variant: &str, name: &str) -> Result<f64, String> {
-    field(value, variant, name)?
-        .as_f64()
-        .ok_or_else(|| format!("{variant}.{name} must be a number"))
-}
-
-/// Lowercase-hex wire form of a `u64`. JSON numbers are `f64`-backed in the
-/// vendored `serde_json`, so integers above 2^53 (fingerprints, seeds) must
-/// travel as strings to round-trip bit-exactly.
-pub fn hex_u64(value: u64) -> String {
-    format!("{value:x}")
-}
-
-/// Lowercase-hex wire form of a `u128` (see [`hex_u64`]).
-pub fn hex_u128(value: u128) -> String {
-    format!("{value:x}")
-}
-
-/// Parses a [`hex_u64`]-encoded value.
-pub fn parse_hex_u64(text: &str) -> Result<u64, String> {
-    u64::from_str_radix(text, 16).map_err(|_| format!("invalid hex u64 {text:?}"))
-}
-
-/// Parses a [`hex_u128`]-encoded value.
-pub fn parse_hex_u128(text: &str) -> Result<u128, String> {
-    u128::from_str_radix(text, 16).map_err(|_| format!("invalid hex u128 {text:?}"))
-}
-
-/// A required [`hex_u64`]-encoded field.
-pub fn hex_u64_field(value: &Value, variant: &str, name: &str) -> Result<u64, String> {
-    parse_hex_u64(&str_field(value, variant, name)?).map_err(|e| format!("{variant}.{name}: {e}"))
-}
-
-/// A required [`hex_u128`]-encoded field.
-pub fn hex_u128_field(value: &Value, variant: &str, name: &str) -> Result<u128, String> {
-    parse_hex_u128(&str_field(value, variant, name)?).map_err(|e| format!("{variant}.{name}: {e}"))
+    serde::variant(value).map(|(tag, payload)| (tag.to_string(), payload))
 }
 
 #[cfg(test)]
@@ -316,43 +240,16 @@ mod tests {
 
     #[test]
     fn untag_handles_unit_and_data_envelopes() {
-        let unit = serde_json::from_str("\"Stats\"").unwrap();
+        let unit: Value = serde_json::from_str("\"Stats\"").unwrap();
         assert_eq!(untag(&unit).unwrap().0, "Stats");
-        let data = serde_json::from_str(r#"{"Status": {"job": 1}}"#).unwrap();
+        let data: Value = serde_json::from_str(r#"{"Status": {"job": 1}}"#).unwrap();
         let (tag, payload) = untag(&data).unwrap();
         assert_eq!(tag, "Status");
-        assert_eq!(u64_field(payload, "Status", "job"), Ok(1));
+        assert_eq!(payload.get("job").and_then(Value::as_u64), Some(1));
         // Unknown envelope shapes are structured errors, never panics.
-        let multi = serde_json::from_str(r#"{"a": 1, "b": 2}"#).unwrap();
+        let multi: Value = serde_json::from_str(r#"{"a": 1, "b": 2}"#).unwrap();
         assert!(untag(&multi).is_err());
-        let number = serde_json::from_str("17").unwrap();
+        let number: Value = serde_json::from_str("17").unwrap();
         assert!(untag(&number).is_err());
-    }
-
-    #[test]
-    fn typed_field_accessors_name_the_variant_in_errors() {
-        let value = serde_json::from_str(r#"{"n": 3, "s": "x", "b": true, "f": 1.5}"#).unwrap();
-        assert_eq!(u64_field(&value, "V", "n"), Ok(3));
-        assert_eq!(str_field(&value, "V", "s"), Ok("x".to_string()));
-        assert_eq!(bool_field(&value, "V", "b"), Ok(true));
-        assert_eq!(f64_field(&value, "V", "f"), Ok(1.5));
-        let err = u64_field(&value, "V", "missing").unwrap_err();
-        assert!(err.contains('V') && err.contains("missing"), "{err}");
-        let err = str_field(&value, "V", "n").unwrap_err();
-        assert!(err.contains("must be a string"), "{err}");
-    }
-
-    #[test]
-    fn hex_wire_form_round_trips_full_range_integers() {
-        for v in [0u64, 1, 0xF1617E, u64::MAX, (1 << 53) + 1] {
-            assert_eq!(parse_hex_u64(&hex_u64(v)), Ok(v));
-        }
-        for v in [0u128, u128::from(u64::MAX) + 1, u128::MAX] {
-            assert_eq!(parse_hex_u128(&hex_u128(v)), Ok(v));
-        }
-        assert!(parse_hex_u64("not hex").is_err());
-        let value =
-            serde_json::from_str(&format!("{{\"fp\": \"{}\"}}", hex_u64(u64::MAX))).unwrap();
-        assert_eq!(hex_u64_field(&value, "V", "fp"), Ok(u64::MAX));
     }
 }

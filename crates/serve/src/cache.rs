@@ -23,9 +23,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use numadag_runtime::CellOutcome;
+use serde::{Deserialize, Serialize};
 
 /// A finished sweep report as served to clients.
-#[derive(Debug)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct CachedReport {
     /// The exact `SweepReport::to_json_string` bytes of the report.
     pub bytes: String,

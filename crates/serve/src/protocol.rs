@@ -5,9 +5,8 @@
 //! [`numadag_runtime::framing`] module, which this protocol and the
 //! multi-process executor's IPC both ride on. Envelopes use serde's
 //! externally-tagged enum encoding (`"Stats"`, `{"Status": {"job": 1}}`),
-//! produced by the vendored `#[derive(Serialize)]` and parsed back by the
-//! hand-written `from_value` decoders below (the vendored serde has no
-//! Deserialize framework).
+//! produced and parsed back by the vendored `#[derive(Serialize,
+//! Deserialize)]`; integers, seeds above 2^53 included, travel exactly.
 //!
 //! The sweep spec itself reuses the CLI grammar verbatim: applications,
 //! policies, scale and backend travel as the same comma-separated strings
@@ -18,7 +17,7 @@ use numadag_core::PolicyKind;
 use numadag_kernels::{Application, ProblemScale, SpecCache};
 use numadag_numa::Topology;
 use numadag_runtime::{Backend, Experiment};
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Default seed of the service's sweeps — the same value the benchmark
 /// harness uses, so default service requests reproduce the committed
@@ -75,8 +74,10 @@ pub fn cell_fingerprint(
     hash
 }
 
-/// A sweep request in the CLI string grammar.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+/// A sweep request in the CLI string grammar. Fields missing on the wire
+/// fall back to the defaults, so clients may send only what they override.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[serde(default)]
 pub struct SweepSpec {
     /// Comma-separated applications (`"jacobi,nstream"`), or `"all"`/empty
     /// for the whole Figure-1 suite.
@@ -167,9 +168,10 @@ impl ResolvedSweep {
         policies
     }
 
-    /// Total cells the sweep will execute (including skippable ones).
+    /// Total cells the sweep will execute (including skippable ones),
+    /// saturating for absurd repetition counts.
     pub fn total_cells(&self) -> usize {
-        self.apps.len() * self.report_policies().len() * self.reps
+        (self.apps.len() * self.report_policies().len()).saturating_mul(self.reps)
     }
 
     /// The canonical content fingerprint of this sweep: workload spec hashes
@@ -239,11 +241,16 @@ impl ResolvedSweep {
 /// A client request. Externally tagged on the wire:
 /// `{"SubmitSweep": {"spec": {...}, "stream": false}}`, `{"Status":
 /// {"job": 1}}`, `"Stats"`, `{"CancelJob": {"job": 1}}`, `"Shutdown"`.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Request {
     /// Submit a sweep; the connection receives `Submitted`, then (with
-    /// `stream`) per-cell `Progress` lines, then a terminal `Report`.
-    SubmitSweep { spec: SweepSpec, stream: bool },
+    /// `stream`, false when missing) per-cell `Progress` lines, then a
+    /// terminal `Report`.
+    SubmitSweep {
+        spec: SweepSpec,
+        #[serde(default)]
+        stream: bool,
+    },
     /// Query the state of a job submitted on any connection.
     Status { job: u64 },
     /// Cancel a job that is still queued or running; its unexecuted cells
@@ -256,7 +263,7 @@ pub enum Request {
 }
 
 /// Server counters returned by [`Request::Stats`].
-#[derive(Clone, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Jobs admitted to the queue (cache misses that will execute).
     pub jobs_submitted: u64,
@@ -268,7 +275,8 @@ pub struct ServerStats {
     pub jobs_cancelled: u64,
     /// Jobs failed (currently only by shutdown draining the queue).
     pub jobs_failed: u64,
-    /// Submissions rejected by the admission quotas (`Overloaded`).
+    /// Submissions rejected by the admission quotas (`Overloaded`, or
+    /// `Error` for a sweep larger than the whole queue).
     pub jobs_rejected: u64,
     /// Malformed request lines answered with `Error`.
     pub requests_malformed: u64,
@@ -310,7 +318,7 @@ pub struct ServerStats {
 /// A server response. One line each; `SubmitSweep` produces a `Submitted`
 /// line, optional `Progress` lines, and a terminal `Report` (or `Error` /
 /// `Cancelled`).
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// The job id assigned to a submission. `cached` is true when the
     /// terminal `Report` follows immediately from the report cache.
@@ -358,161 +366,20 @@ pub enum Response {
     ShuttingDown,
 }
 
-// The framing layer (one-line serialization, envelope untagging, typed
-// field accessors) started here and moved to `numadag_runtime::framing` so
-// the multi-process executor's IPC shares it; re-exported for callers that
-// import it from the protocol module.
+// Re-exported for callers that import it from the protocol module.
 pub use numadag_runtime::framing::to_line;
-use numadag_runtime::framing::{bool_field, field, str_field, u64_field, untag};
-
-impl SweepSpec {
-    /// Decodes a spec object. Missing fields fall back to the defaults, so
-    /// clients may send only what they override.
-    pub fn from_value(value: &Value) -> Result<SweepSpec, String> {
-        if value.as_object().is_none() {
-            return Err("SubmitSweep.spec must be an object".to_string());
-        }
-        let defaults = SweepSpec::default();
-        let str_or = |name: &str, default: &str| -> Result<String, String> {
-            match value.get(name) {
-                None => Ok(default.to_string()),
-                Some(v) => v
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| format!("spec.{name} must be a string")),
-            }
-        };
-        let u64_or = |name: &str, default: u64| -> Result<u64, String> {
-            match value.get(name) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| format!("spec.{name} must be an unsigned integer")),
-            }
-        };
-        Ok(SweepSpec {
-            apps: str_or("apps", &defaults.apps)?,
-            scale: str_or("scale", &defaults.scale)?,
-            policies: str_or("policies", &defaults.policies)?,
-            backend: str_or("backend", &defaults.backend)?,
-            seed: u64_or("seed", defaults.seed)?,
-            reps: u64_or("reps", defaults.reps as u64)? as usize,
-        })
-    }
-}
 
 impl Request {
-    /// Decodes a request envelope.
-    pub fn from_value(value: &Value) -> Result<Request, String> {
-        let (tag, payload) = untag(value)?;
-        match tag.as_str() {
-            "SubmitSweep" => Ok(Request::SubmitSweep {
-                spec: SweepSpec::from_value(field(payload, "SubmitSweep", "spec")?)?,
-                stream: match payload.get("stream") {
-                    None => false,
-                    Some(_) => bool_field(payload, "SubmitSweep", "stream")?,
-                },
-            }),
-            "Status" => Ok(Request::Status {
-                job: u64_field(payload, "Status", "job")?,
-            }),
-            "CancelJob" => Ok(Request::CancelJob {
-                job: u64_field(payload, "CancelJob", "job")?,
-            }),
-            "Stats" => Ok(Request::Stats),
-            "Shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request {other:?}")),
-        }
-    }
-
     /// Decodes one wire line.
     pub fn from_line(line: &str) -> Result<Request, String> {
-        let value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        Request::from_value(&value)
-    }
-}
-
-impl ServerStats {
-    fn from_value(value: &Value) -> Result<ServerStats, String> {
-        let get = |name: &str| u64_field(value, "Stats", name);
-        Ok(ServerStats {
-            jobs_submitted: get("jobs_submitted")?,
-            jobs_coalesced: get("jobs_coalesced")?,
-            jobs_completed: get("jobs_completed")?,
-            jobs_cancelled: get("jobs_cancelled")?,
-            jobs_failed: get("jobs_failed")?,
-            jobs_rejected: get("jobs_rejected")?,
-            requests_malformed: get("requests_malformed")?,
-            executed_cells_total: get("executed_cells_total")?,
-            cells_hydrated_total: get("cells_hydrated_total")?,
-            report_cache_entries: get("report_cache_entries")?,
-            report_cache_capacity: get("report_cache_capacity")?,
-            report_cache_hits: get("report_cache_hits")?,
-            report_cache_misses: get("report_cache_misses")?,
-            report_cache_evictions: get("report_cache_evictions")?,
-            cell_cache_entries: get("cell_cache_entries")?,
-            cell_cache_capacity: get("cell_cache_capacity")?,
-            cell_cache_hits: get("cell_cache_hits")?,
-            cell_cache_misses: get("cell_cache_misses")?,
-            cell_cache_evictions: get("cell_cache_evictions")?,
-            pool_workers: get("pool_workers")?,
-            spec_cache_builds: get("spec_cache_builds")?,
-            spec_cache_hits: get("spec_cache_hits")?,
-            spec_cache_entries: get("spec_cache_entries")?,
-        })
+        serde_json::from_str(line).map_err(|e| e.to_string())
     }
 }
 
 impl Response {
-    /// Decodes a response envelope.
-    pub fn from_value(value: &Value) -> Result<Response, String> {
-        let (tag, payload) = untag(value)?;
-        match tag.as_str() {
-            "Submitted" => Ok(Response::Submitted {
-                job: u64_field(payload, "Submitted", "job")?,
-                cached: bool_field(payload, "Submitted", "cached")?,
-            }),
-            "Progress" => Ok(Response::Progress {
-                job: u64_field(payload, "Progress", "job")?,
-                completed: u64_field(payload, "Progress", "completed")?,
-                total: u64_field(payload, "Progress", "total")?,
-                application: str_field(payload, "Progress", "application")?,
-                policy: str_field(payload, "Progress", "policy")?,
-                repetition: u64_field(payload, "Progress", "repetition")?,
-            }),
-            "Report" => Ok(Response::Report {
-                job: u64_field(payload, "Report", "job")?,
-                cache_hit: bool_field(payload, "Report", "cache_hit")?,
-                executed_cells: u64_field(payload, "Report", "executed_cells")?,
-                hydrated_cells: u64_field(payload, "Report", "hydrated_cells")?,
-                report_json: str_field(payload, "Report", "report_json")?,
-            }),
-            "JobStatus" => Ok(Response::JobStatus {
-                job: u64_field(payload, "JobStatus", "job")?,
-                state: str_field(payload, "JobStatus", "state")?,
-                completed: u64_field(payload, "JobStatus", "completed")?,
-                total: u64_field(payload, "JobStatus", "total")?,
-            }),
-            "Cancelled" => Ok(Response::Cancelled {
-                job: u64_field(payload, "Cancelled", "job")?,
-            }),
-            "Overloaded" => Ok(Response::Overloaded {
-                queued_cells: u64_field(payload, "Overloaded", "queued_cells")?,
-                limit: u64_field(payload, "Overloaded", "limit")?,
-            }),
-            "Stats" => Ok(Response::Stats(ServerStats::from_value(payload)?)),
-            "Error" => Ok(Response::Error {
-                message: str_field(payload, "Error", "message")?,
-            }),
-            "ShuttingDown" => Ok(Response::ShuttingDown),
-            other => Err(format!("unknown response {other:?}")),
-        }
-    }
-
     /// Decodes one wire line.
     pub fn from_line(line: &str) -> Result<Response, String> {
-        let value = serde_json::from_str(line).map_err(|e| format!("invalid JSON: {e}"))?;
-        Response::from_value(&value)
+        serde_json::from_str(line).map_err(|e| e.to_string())
     }
 }
 
@@ -761,8 +628,7 @@ mod tests {
 
     #[test]
     fn partial_spec_objects_fill_in_defaults() {
-        let value = serde_json::from_str(r#"{"scale": "small", "seed": 9}"#).unwrap();
-        let spec = SweepSpec::from_value(&value).unwrap();
+        let spec: SweepSpec = serde_json::from_str(r#"{"scale": "small", "seed": 9}"#).unwrap();
         assert_eq!(spec.scale, "small");
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.policies, DEFAULT_POLICIES);

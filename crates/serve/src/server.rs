@@ -45,6 +45,7 @@ use numadag_kernels::SpecCache;
 use numadag_numa::Topology;
 use numadag_runtime::framing::read_frame;
 use numadag_runtime::{CellOutcome, Executor, SweepPlan};
+use serde::{Deserialize, Serialize};
 
 use crate::cache::{CachedReport, CellCache, ReportCache};
 use crate::protocol::{Request, Response, ServerStats, SweepSpec};
@@ -225,47 +226,32 @@ impl ServeHandle {
         }
         if let Some(path) = &self.shared.config.cache_file {
             let snapshot = self.shared.state.lock().unwrap().cache.snapshot();
-            match save_cache_file(path, &snapshot) {
-                Ok(()) => eprintln!(
-                    "numadag-serve: saved {} cached report(s) to {path}",
-                    snapshot.len()
-                ),
+            let saved = snapshot.len();
+            match save_cache_file(path, snapshot) {
+                Ok(()) => eprintln!("numadag-serve: saved {saved} cached report(s) to {path}"),
                 Err(e) => eprintln!("numadag-serve: could not save cache file {path}: {e}"),
             }
         }
     }
 }
 
-/// Writes the report-cache snapshot as one JSON object:
-/// `{"version": 1, "entries": [{key, executed_cells, total_cells, report}]}`
-/// with entries least-recently-used first (so reloading in file order
-/// reproduces the LRU ranking) and keys in the hex wire form fingerprints
-/// use everywhere else (u64 does not survive the f64-backed JSON numbers).
-fn save_cache_file(path: &str, snapshot: &[(u64, Arc<CachedReport>)]) -> std::io::Result<()> {
-    use numadag_runtime::framing::hex_u64;
-    use serde::Value;
-    let entries: Vec<Value> = snapshot
-        .iter()
-        .map(|(key, report)| {
-            Value::Object(vec![
-                ("key".to_string(), Value::String(hex_u64(*key))),
-                (
-                    "executed_cells".to_string(),
-                    Value::Number(report.executed_cells as f64),
-                ),
-                (
-                    "total_cells".to_string(),
-                    Value::Number(report.total_cells as f64),
-                ),
-                ("report".to_string(), Value::String(report.bytes.clone())),
-            ])
-        })
-        .collect();
-    let root = Value::Object(vec![
-        ("version".to_string(), Value::Number(1.0)),
-        ("entries".to_string(), Value::Array(entries)),
-    ]);
-    let body = serde_json::to_string(&root).expect("snapshot values are always encodable");
+/// Format version of the `--cache-file` snapshot.
+const CACHE_FILE_VERSION: u64 = 2;
+
+/// The `--cache-file` snapshot: `(key, report)` entries least-recently-used
+/// first, so reloading in file order reproduces the LRU ranking.
+#[derive(Serialize, Deserialize)]
+struct CacheFile {
+    version: u64,
+    entries: Vec<(u64, Arc<CachedReport>)>,
+}
+
+fn save_cache_file(path: &str, entries: Vec<(u64, Arc<CachedReport>)>) -> std::io::Result<()> {
+    let file = CacheFile {
+        version: CACHE_FILE_VERSION,
+        entries,
+    };
+    let body = serde_json::to_string(&file).expect("snapshot values are always encodable");
     // Write-then-rename so a crash mid-write never truncates a good file.
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, body)?;
@@ -276,29 +262,17 @@ fn save_cache_file(path: &str, snapshot: &[(u64, Arc<CachedReport>)]) -> std::io
 /// entries were restored. Malformed files (or entries) are errors the boot
 /// path logs and ignores.
 fn load_cache_file(path: &str, cache: &mut ReportCache) -> Result<usize, String> {
-    use numadag_runtime::framing::{field, str_field, u64_field};
     if !std::path::Path::new(path).exists() {
         return Ok(0);
     }
     let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let root: serde::Value = serde_json::from_str(&body).map_err(|e| e.to_string())?;
-    let version = u64_field(&root, "cache file", "version")?;
-    if version != 1 {
-        return Err(format!("unsupported cache file version {version}"));
+    let file: CacheFile = serde_json::from_str(&body).map_err(|e| e.to_string())?;
+    if file.version != CACHE_FILE_VERSION {
+        return Err(format!("unsupported cache file version {}", file.version));
     }
-    let entries = field(&root, "cache file", "entries")?
-        .as_array()
-        .ok_or("cache file entries must be an array")?;
-    let mut loaded = 0;
-    for entry in entries {
-        let key = numadag_runtime::framing::hex_u64_field(entry, "cache entry", "key")?;
-        let report = Arc::new(CachedReport {
-            bytes: str_field(entry, "cache entry", "report")?,
-            executed_cells: u64_field(entry, "cache entry", "executed_cells")? as usize,
-            total_cells: u64_field(entry, "cache entry", "total_cells")? as usize,
-        });
+    let loaded = file.entries.len();
+    for (key, report) in file.entries {
         cache.insert(key, report);
-        loaded += 1;
     }
     Ok(loaded)
 }
@@ -495,6 +469,19 @@ fn handle_submit(
             return write_line(writer, &Response::Error { message }).is_ok();
         }
     };
+    // A sweep larger than the whole queue can never be admitted; refuse it
+    // before fingerprinting or planning, whose allocations scale with it.
+    let total = resolved.total_cells();
+    if total > shared.config.max_queued_cells {
+        let mut state = shared.state.lock().expect("state lock poisoned");
+        state.counters.rejected += 1;
+        drop(state);
+        let message = format!(
+            "sweep has {total} cells, more than the {}-cell queue limit",
+            shared.config.max_queued_cells
+        );
+        return write_line(writer, &Response::Error { message }).is_ok();
+    }
     let num_sockets = shared.config.topology.num_sockets();
     // Fingerprinting may build workload specs (warming the shared spec
     // cache for the run itself) — do it outside the state lock.
@@ -1101,6 +1088,42 @@ mod tests {
             (JobState::Failed, "failed"),
         ] {
             assert_eq!(state.label(), label);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// The `--cache-file` snapshot reloads every entry exactly, keys
+        /// across the whole u64 range, in LRU order.
+        #[test]
+        fn cache_files_round_trip(pick in 0u64..4, raw in 0u64..=u64::MAX, cells in 0usize..5000) {
+            let key = match pick {
+                0 => u64::MAX,
+                1 => (1 << 53) + 1,
+                _ => raw,
+            };
+            let report = |bytes: String, executed_cells| {
+                Arc::new(CachedReport { bytes, executed_cells, total_cells: cells + 1 })
+            };
+            let entries = vec![
+                (key, report(format!("{{\n  \"seed\": {raw}\n}}"), cells)),
+                (key.wrapping_add(1), report("\"quoted\"\t".to_string(), 0)),
+            ];
+            let path = std::env::temp_dir()
+                .join(format!("numadag-cache-file-{}-{raw}.json", std::process::id()));
+            let path = path.to_string_lossy().into_owned();
+            save_cache_file(&path, entries.clone()).unwrap();
+            let mut cache = ReportCache::new(8);
+            let loaded = load_cache_file(&path, &mut cache);
+            std::fs::remove_file(&path).unwrap();
+            proptest::prop_assert_eq!(loaded, Ok(2));
+            for ((key, want), (got_key, got)) in entries.iter().zip(cache.snapshot()) {
+                proptest::prop_assert_eq!(*key, got_key);
+                proptest::prop_assert_eq!(&want.bytes, &got.bytes);
+                proptest::prop_assert_eq!(want.executed_cells, got.executed_cells);
+                proptest::prop_assert_eq!(want.total_cells, got.total_cells);
+            }
         }
     }
 }

@@ -486,9 +486,10 @@ fn pool_workers_keep_a_tiny_sweep_flowing_past_a_big_one() {
 }
 
 #[test]
-fn submissions_bounce_with_overloaded_when_the_cell_quota_is_exceeded() {
+fn sweeps_larger_than_the_cell_quota_are_refused_before_planning() {
     // A quota smaller than the default sweep's cell count: the all-apps
-    // sweep bounces, a single-app sweep still fits.
+    // sweep can never fit, so it is refused outright; a single-app sweep
+    // still fits.
     let handle = serve(ServeConfig {
         max_queued_cells: 4,
         ..ServeConfig::default()
@@ -498,14 +499,13 @@ fn submissions_bounce_with_overloaded_when_the_cell_quota_is_exceeded() {
     let mut client = ServeClient::connect(&addr).unwrap();
 
     match client.submit(SweepSpec::default(), false, |_| ()) {
-        Err(ClientError::Overloaded {
-            queued_cells,
-            limit,
-        }) => {
-            assert_eq!(queued_cells, 0);
-            assert_eq!(limit, 4);
+        Err(ClientError::Server(message)) => {
+            assert!(
+                message.contains("32 cells") && message.contains("4-cell"),
+                "{message}"
+            );
         }
-        other => panic!("expected Overloaded, got {other:?}"),
+        other => panic!("expected a structured Error, got {other:?}"),
     }
 
     // The connection survives, and a sweep within the quota is admitted.
@@ -528,6 +528,102 @@ fn submissions_bounce_with_overloaded_when_the_cell_quota_is_exceeded() {
 
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn submissions_bounce_with_overloaded_when_no_job_slot_is_free() {
+    let handle = serve(ServeConfig {
+        max_active_jobs: 0,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
+    match client.submit(tiny_spec(), false, |_| ()) {
+        Err(ClientError::Overloaded {
+            queued_cells,
+            limit,
+        }) => {
+            assert_eq!(queued_cells, 0);
+            assert_eq!(limit, ServeConfig::default().max_queued_cells as u64);
+        }
+        other => panic!("expected Overloaded, got {other:?}"),
+    }
+    assert_eq!(client.stats().unwrap().jobs_rejected, 1);
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn hostile_sizes_and_numbers_get_errors_naming_them_and_the_daemon_survives() {
+    let handle = serve(ServeConfig::default()).unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut ask = |line: &str| {
+        writer.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        Response::from_line(reply.trim_end()).unwrap()
+    };
+
+    // 8 apps × 4 policies × 1e8 repetitions: planning it would allocate
+    // tens of gigabytes, so it must be refused before planning.
+    let huge = r#"{"SubmitSweep": {"spec": {"scale": "tiny", "reps": 100000000}}}"#;
+    match ask(huge) {
+        Response::Error { message } => assert!(
+            message.contains("3200000000 cells") && message.contains("4096-cell"),
+            "{message}"
+        ),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    // Integer fields reject lossy numbers instead of saturating them.
+    for (field, value) in [("reps", "1e30"), ("seed", "2.5"), ("seed", "-1")] {
+        let line = format!(r#"{{"SubmitSweep": {{"spec": {{"{field}": {value}}}}}}}"#);
+        match ask(&line) {
+            Response::Error { message } => assert!(
+                message.starts_with(&format!("SubmitSweep.spec.{field}: expected")),
+                "{line}: {message}"
+            ),
+            other => panic!("expected Error for {line}, got {other:?}"),
+        }
+    }
+    match ask("\"Stats\"") {
+        Response::Stats(stats) => {
+            assert_eq!(stats.jobs_rejected, 1);
+            assert_eq!(stats.requests_malformed, 3);
+            assert_eq!(stats.jobs_submitted, 0);
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn seeds_above_two_to_the_53_reach_the_sweep_exactly() {
+    let seed = (1u64 << 53) + 1;
+    let spec = SweepSpec {
+        seed,
+        ..tiny_spec()
+    };
+    let handle = serve(ServeConfig::default()).unwrap();
+    let mut client = ServeClient::connect(&handle.addr().to_string()).unwrap();
+    let outcome = client.submit(spec.clone(), false, |_| ()).unwrap();
+    handle.shutdown();
+    handle.join();
+
+    let direct = spec
+        .resolve()
+        .unwrap()
+        .experiment(Topology::bullion_s16(), Arc::new(SpecCache::new()))
+        .run();
+    assert_eq!(outcome.report_json, direct.to_json_string());
+    assert!(
+        outcome.report_json.contains("\"seed\": 9007199254740993,"),
+        "{}",
+        outcome.report_json
+    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! [`Trace::from_json_str`].
 
 use parking_lot::Mutex;
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 
 use numadag_numa::{CoreId, NodeId, SocketId};
 use numadag_tdg::TaskId;
@@ -17,7 +17,7 @@ use crate::event::TraceEvent;
 /// [`crate::MemorySink`] installed on the execution configuration) and by
 /// the sweep driver for every cell of a traced `Experiment`. The analytics
 /// layer ([`crate::analytics`], [`crate::compare`]) works on this type.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
     /// Workload label (application name or spec name).
     pub workload: String,
@@ -210,41 +210,7 @@ impl Trace {
 
     /// Parses a trace previously serialized by [`Trace::to_json_string`].
     pub fn from_json_str(text: &str) -> Result<Trace, String> {
-        let value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let events = value
-            .get("events")
-            .and_then(Value::as_array)
-            .ok_or("missing array field \"events\"")?
-            .iter()
-            .map(parse_event)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace {
-            workload: get_str(&value, "workload")?,
-            policy: get_str(&value, "policy")?,
-            backend: get_str(&value, "backend")?,
-            scale: get_str(&value, "scale")?,
-            repetition: get_u64(&value, "repetition")? as usize,
-            tasks: get_u64(&value, "tasks")? as usize,
-            num_sockets: get_u64(&value, "num_sockets")? as usize,
-            makespan_ns: get_f64(&value, "makespan_ns")?,
-            events,
-        })
-    }
-}
-
-impl Serialize for Trace {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("workload".to_string(), self.workload.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-            ("backend".to_string(), self.backend.to_value()),
-            ("scale".to_string(), self.scale.to_value()),
-            ("repetition".to_string(), self.repetition.to_value()),
-            ("tasks".to_string(), self.tasks.to_value()),
-            ("num_sockets".to_string(), self.num_sockets.to_value()),
-            ("makespan_ns".to_string(), self.makespan_ns.to_value()),
-            ("events".to_string(), self.events.to_value()),
-        ])
+        serde_json::from_str(text).map_err(|e| e.to_string())
     }
 }
 
@@ -314,74 +280,53 @@ impl Serialize for TraceEvent {
     }
 }
 
-fn get_str(value: &Value, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn get_f64(value: &Value, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-fn get_u64(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing integer field {key:?}"))
-}
-
-/// Decodes one serialized [`TraceEvent`] (the `{"type": "assign", ...}`
-/// object shape its `Serialize` impl produces). Public so other transports —
-/// the multi-process executor's IPC — can ship event streams in the same
-/// wire form traces are persisted in.
-pub fn parse_event(value: &Value) -> Result<TraceEvent, String> {
-    let tag = get_str(value, "type")?;
-    let task = TaskId(get_u64(value, "task")? as usize);
-    let time = get_f64(value, "time")?;
-    match tag.as_str() {
-        "assign" => Ok(TraceEvent::Assign {
-            task,
-            socket: SocketId(get_u64(value, "socket")? as usize),
-            time,
-        }),
-        "start" => Ok(TraceEvent::Start {
-            task,
-            socket: SocketId(get_u64(value, "socket")? as usize),
-            core: CoreId(get_u64(value, "core")? as usize),
-            time,
-            stolen: value
-                .get("stolen")
-                .and_then(Value::as_bool)
-                .ok_or("missing boolean field \"stolen\"")?,
-        }),
-        "finish" => Ok(TraceEvent::Finish {
-            task,
-            socket: SocketId(get_u64(value, "socket")? as usize),
-            core: CoreId(get_u64(value, "core")? as usize),
-            time,
-        }),
-        "deferred_alloc" => Ok(TraceEvent::DeferredAlloc {
-            task,
-            node: NodeId(get_u64(value, "node")? as usize),
-            bytes: get_u64(value, "bytes")?,
-            time,
-        }),
-        "traffic" => Ok(TraceEvent::Traffic {
-            task,
-            region: get_u64(value, "region")? as usize,
-            from: NodeId(get_u64(value, "from")? as usize),
-            to: NodeId(get_u64(value, "to")? as usize),
-            distance: get_u64(value, "distance")? as u32,
-            bytes: get_u64(value, "bytes")?,
-            time,
-        }),
-        other => Err(format!("unknown event type {other:?}")),
+/// Hand-written, like the `Serialize` impl above: events are internally
+/// tagged (`{"type": "assign", ...}`), the trace-file format on disk, which
+/// the derive does not produce. The multi-process executor's IPC ships event
+/// streams in this same form.
+impl Deserialize for TraceEvent {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let entries = serde::object_entries(value)?;
+        // Positions are where the `Serialize` impl writes each field.
+        let field = |index, name| serde::field::<usize>(entries, index, name);
+        let time = |index| serde::field::<f64>(entries, index, "time");
+        let task = TaskId(field(1, "task")?);
+        Ok(match serde::field::<String>(entries, 0, "type")?.as_str() {
+            "assign" => TraceEvent::Assign {
+                task,
+                socket: SocketId(field(2, "socket")?),
+                time: time(3)?,
+            },
+            "start" => TraceEvent::Start {
+                task,
+                socket: SocketId(field(2, "socket")?),
+                core: CoreId(field(3, "core")?),
+                time: time(4)?,
+                stolen: serde::field(entries, 5, "stolen")?,
+            },
+            "finish" => TraceEvent::Finish {
+                task,
+                socket: SocketId(field(2, "socket")?),
+                core: CoreId(field(3, "core")?),
+                time: time(4)?,
+            },
+            "deferred_alloc" => TraceEvent::DeferredAlloc {
+                task,
+                node: NodeId(field(2, "node")?),
+                bytes: serde::field(entries, 3, "bytes")?,
+                time: time(4)?,
+            },
+            "traffic" => TraceEvent::Traffic {
+                task,
+                region: field(2, "region")?,
+                from: NodeId(field(3, "from")?),
+                to: NodeId(field(4, "to")?),
+                distance: serde::field(entries, 5, "distance")?,
+                bytes: serde::field(entries, 6, "bytes")?,
+                time: time(7)?,
+            },
+            other => return Err(format!("unknown event type {other:?}")),
+        })
     }
 }
 
@@ -620,7 +565,7 @@ pub(crate) mod tests {
     #[test]
     fn malformed_json_is_rejected_with_context() {
         assert!(Trace::from_json_str("not json").is_err());
-        assert!(Trace::from_json_str("{}").unwrap_err().contains("events"));
+        assert!(Trace::from_json_str("{}").unwrap_err().contains("workload"));
         let bad_event = r#"{"workload":"w","policy":"p","backend":"b","scale":"s",
             "repetition":0,"tasks":1,"num_sockets":1,"makespan_ns":1,
             "events":[{"type":"warp","task":0,"time":0}]}"#;
