@@ -9,6 +9,10 @@
 //! allocator armed only around the measured call, so the test is exact
 //! rather than statistical: a single reintroduced per-level or per-pass
 //! allocation fails it.
+//!
+//! The counter is process-wide, so the binary holds exactly one test and
+//! runs its checks in sequence: libtest runs separate tests on parallel
+//! threads, and one test's allocations would land in another's window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -74,7 +78,12 @@ fn measured_run(
 }
 
 #[test]
-fn warmed_refine_scratch_is_allocation_free_and_bit_identical() {
+fn warmed_refine_scratch_is_allocation_free() {
+    warm_scratch_is_allocation_free_and_bit_identical();
+    warm_scratch_absorbs_smaller_working_sets();
+}
+
+fn warm_scratch_is_allocation_free_and_bit_identical() {
     let graph = generators::random_graph(600, 5, 64, 11);
     let n = graph.num_vertices();
     let k = 8usize;
@@ -112,8 +121,7 @@ fn warmed_refine_scratch_is_allocation_free_and_bit_identical() {
     }
 }
 
-#[test]
-fn warmed_scratch_absorbs_smaller_working_sets() {
+fn warm_scratch_absorbs_smaller_working_sets() {
     // A scratch warmed on a large level must stay allocation-free on the
     // smaller levels of the same hierarchy (the common multilevel pattern:
     // coarse levels are strictly smaller than the finest one).

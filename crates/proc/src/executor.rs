@@ -80,6 +80,7 @@ impl ProcExecutor {
         let placements = self.config.collect_trace;
         let (report, collected) = pool.run_cell(
             spec,
+            ctx.spec_fingerprint(spec),
             ctx.policy_label,
             policy.name(),
             ctx.seed,

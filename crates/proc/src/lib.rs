@@ -11,8 +11,8 @@
 //!
 //! Messages ([`protocol::ToWorker`], [`protocol::FromWorker`]) cover the
 //! whole lifecycle: `Config`/`ConfigAck` (execution config sync,
-//! fingerprint-keyed), `Spec` (workload transfer, shipped once per worker
-//! and referenced by fingerprint after), `Assign`/`Done` (one sweep cell),
+//! fingerprint-keyed), `Spec` (workload transfer in columns, encoded once
+//! per pool, shipped once per worker and referenced by fingerprint after), `Assign`/`Done` (one sweep cell),
 //! `DataHome` and `Steal` notifications (deferred-allocation bytes and
 //! stolen-task counts, cross-checked against the report),
 //! `Barrier`/`BarrierAck` (oneCCL-style non-blocking collectives at startup

@@ -11,14 +11,15 @@
 //!
 //! Per-cell dispatch is a short serial conversation on one worker's socket:
 //! config sync (only when the worker's last-acked config fingerprint
-//! differs), spec transfer (only the first time this worker sees the spec),
+//! differs), spec transfer (only the first time this worker sees the spec;
+//! the frame is encoded once and the same bytes go to every worker),
 //! `Assign`, then `DataHome` / `Steal` / `Done` replies. Any framing
 //! failure or timeout on that conversation kills the worker and redispatches
 //! the cell to a live one; a structured `Error` reply is deterministic
 //! (bad policy, bad spec) and propagates instead of retrying.
 
 use std::collections::{HashMap, HashSet};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -140,6 +141,12 @@ pub struct PoolStats {
     pub config_broadcasts: u64,
     /// `spec` messages sent (one per worker per distinct workload).
     pub spec_transfers: u64,
+    /// `spec` frames encoded (one per distinct workload: every transfer of
+    /// a workload writes the same bytes).
+    pub spec_encodes: u64,
+    /// Encoded `spec` frames held right now, for workers that still lack
+    /// them; 0 once every live worker holds every spec it was sent.
+    pub spec_frames: u64,
     /// Collective barriers completed (startup + shutdown drains).
     pub barriers: u64,
 }
@@ -149,13 +156,15 @@ impl std::fmt::Display for PoolStats {
         write!(
             f,
             "workers_spawned={} workers_alive={} cells_dispatched={} redispatches={} \
-             config_broadcasts={} spec_transfers={} barriers={}",
+             config_broadcasts={} spec_transfers={} spec_encodes={} spec_frames={} barriers={}",
             self.workers_spawned,
             self.workers_alive,
             self.cells_dispatched,
             self.redispatches,
             self.config_broadcasts,
             self.spec_transfers,
+            self.spec_encodes,
+            self.spec_frames,
             self.barriers,
         )
     }
@@ -201,6 +210,7 @@ struct Counters {
     redispatches: AtomicU64,
     config_broadcasts: AtomicU64,
     spec_transfers: AtomicU64,
+    spec_encodes: AtomicU64,
     barriers: AtomicU64,
 }
 
@@ -226,9 +236,21 @@ enum DispatchFailure {
     Fatal(ProcError),
 }
 
+/// An encoded `Spec` frame, kept while some live worker still lacks it.
+struct SpecFrame {
+    /// The frame as written to the socket, newline included.
+    bytes: Arc<[u8]>,
+    /// Slots it has been written to.
+    shipped: Vec<u64>,
+}
+
 /// A pool of worker processes executing sweep cells over newline-JSON IPC.
 pub struct WorkerPool {
     slots: Vec<Arc<WorkerSlot>>,
+    /// Spec frames by fingerprint: each spec is encoded once and the same
+    /// bytes go to every worker that lacks it. A frame is dropped as soon
+    /// as every live worker holds its spec, so an idle pool holds none.
+    frames: Mutex<HashMap<u64, SpecFrame>>,
     next_slot: AtomicU64,
     next_cell: AtomicU64,
     next_epoch: AtomicU64,
@@ -332,6 +354,7 @@ impl WorkerPool {
 
         let pool = Arc::new(WorkerPool {
             slots,
+            frames: Mutex::new(HashMap::new()),
             next_slot: AtomicU64::new(0),
             next_cell: AtomicU64::new(0),
             next_epoch: AtomicU64::new(0),
@@ -371,6 +394,8 @@ impl WorkerPool {
             redispatches: self.counters.redispatches.load(Ordering::Relaxed),
             config_broadcasts: self.counters.config_broadcasts.load(Ordering::Relaxed),
             spec_transfers: self.counters.spec_transfers.load(Ordering::Relaxed),
+            spec_encodes: self.counters.spec_encodes.load(Ordering::Relaxed),
+            spec_frames: self.lock_frames().len() as u64,
             barriers: self.counters.barriers.load(Ordering::Relaxed),
         }
     }
@@ -406,14 +431,60 @@ impl WorkerPool {
         None
     }
 
+    fn lock_frames(&self) -> MutexGuard<'_, HashMap<u64, SpecFrame>> {
+        // Every update leaves the map consistent, so a poisoned lock's
+        // contents are still good.
+        match self.frames.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// The encoded `Spec` frame of `spec`, encoded on first request.
+    fn spec_frame(&self, spec_fp: u64, spec: &TaskGraphSpec) -> Arc<[u8]> {
+        let mut frames = self.lock_frames();
+        let frame = frames.entry(spec_fp).or_insert_with(|| {
+            self.counters.spec_encodes.fetch_add(1, Ordering::Relaxed);
+            let mut line = to_line(&ToWorker::Spec(WireSpec::with_fingerprint(spec_fp, spec)));
+            line.push('\n');
+            SpecFrame {
+                bytes: Arc::from(line.into_bytes()),
+                shipped: Vec::new(),
+            }
+        });
+        Arc::clone(&frame.bytes)
+    }
+
+    /// Records that `slot` received spec `spec_fp`, then drops the frames
+    /// no live worker still lacks.
+    fn frame_shipped(&self, spec_fp: u64, slot: u64) {
+        let mut frames = self.lock_frames();
+        if let Some(frame) = frames.get_mut(&spec_fp) {
+            frame.shipped.push(slot);
+        }
+        self.drop_delivered_frames(&mut frames);
+    }
+
+    /// Drops every frame that no live worker still lacks (after a
+    /// transfer, or after a worker that lacked it died).
+    fn drop_delivered_frames(&self, frames: &mut HashMap<u64, SpecFrame>) {
+        frames.retain(|_, frame| {
+            self.slots
+                .iter()
+                .any(|slot| slot.alive.load(Ordering::SeqCst) && !frame.shipped.contains(&slot.id))
+        });
+    }
+
     /// Executes one sweep cell on some live worker, redispatching on worker
-    /// loss. `policy_label` must parse back to the policy that produced
-    /// `policy_name` (its `'static` display name, re-attached to the report
-    /// on this side of the wire — labels never travel).
+    /// loss. `spec_fp` must be `spec`'s fingerprint (callers memoize it;
+    /// workers verify it). `policy_label` must parse back to the policy
+    /// that produced `policy_name` (its `'static` display name, re-attached
+    /// to the report on this side of the wire — labels never travel).
     #[allow(clippy::too_many_arguments)]
     pub fn run_cell(
         &self,
         spec: &TaskGraphSpec,
+        spec_fp: u64,
         policy_label: &str,
         policy_name: &'static str,
         policy_seed: u64,
@@ -428,7 +499,7 @@ impl WorkerPool {
         let config_fp = config_fingerprint(config);
         let assignment = Assignment {
             cell,
-            spec_fp: spec.fingerprint(),
+            spec_fp,
             policy: policy_label.to_string(),
             policy_seed,
             events,
@@ -442,6 +513,7 @@ impl WorkerPool {
                 Ok(result) => return Ok(result),
                 Err(DispatchFailure::WorkerLost) => {
                     self.counters.redispatches.fetch_add(1, Ordering::Relaxed);
+                    self.drop_delivered_frames(&mut self.lock_frames());
                 }
                 Err(DispatchFailure::Fatal(e)) => return Err(e),
             }
@@ -500,11 +572,14 @@ impl WorkerPool {
         }
 
         // Spec transfer: ship once per worker, reference by fingerprint after.
-        if !state.specs.contains(&assignment.spec_fp) {
-            if write_frame(&mut state.writer, &ToWorker::Spec(WireSpec::new(spec))).is_err() {
+        let spec_fp = assignment.spec_fp;
+        if !state.specs.contains(&spec_fp) {
+            let frame = self.spec_frame(spec_fp, spec);
+            if state.writer.write_all(&frame).is_err() {
                 return Err(lost(slot, &mut state));
             }
-            state.specs.insert(assignment.spec_fp);
+            state.specs.insert(spec_fp);
+            self.frame_shipped(spec_fp, slot.id);
             self.counters.spec_transfers.fetch_add(1, Ordering::Relaxed);
         }
 

@@ -11,10 +11,11 @@
 //! byte-identical to in-process runs: integers (u64 byte counters and
 //! fingerprints, the u128 distance-weighted traffic) travel as exact JSON
 //! integers, and every finite `f64` as its shortest round-trip formatting,
-//! which the vendored `serde_json` parses back bit for bit. Bulk data — a
-//! spec's accesses and dependencies, a report's links and placements —
-//! travels as positional tuples, not objects, to keep the lines short.
+//! which the vendored `serde_json` parses back bit for bit. Bulk data
+//! stays compact: a spec travels as flat columns ([`WireSpec`]), a
+//! report's links and placements as positional tuples, not objects.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use numadag_numa::{CostModel, DistanceMatrix, NodeId, RegionId, SocketId, Topology, TrafficStats};
@@ -25,7 +26,7 @@ use serde::{Deserialize, Serialize, Value};
 
 /// Protocol version, sent in every config message. A worker that sees a
 /// version it does not speak replies with an error instead of guessing.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Coordinator → worker messages.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -206,103 +207,235 @@ impl WireConfig {
     }
 }
 
-/// A complete [`TaskGraphSpec`], keyed by its fingerprint.
+/// A complete [`TaskGraphSpec`], keyed by its fingerprint, in columns.
+///
+/// A Full-scale spec has tens of thousands of tasks, so the wire form holds
+/// one flat array per field rather than one object per task: a kind table
+/// plus a per-task kind index, a work column, and the accesses and
+/// dependences as flat integer columns that each task slices through its
+/// end offset. The columns hold exactly what the graph holds: dependences
+/// are the graph's merged predecessor lists, in order.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireSpec {
     /// [`TaskGraphSpec::fingerprint`].
     pub fp: u64,
     /// Workload name.
     pub name: String,
-    /// Tasks in submission order.
-    pub tasks: Vec<WireTask>,
+    /// Distinct task kind labels, in order of first use.
+    pub kinds: Vec<String>,
+    /// Per task: its kind, as an index into `kinds`.
+    pub kind: Vec<usize>,
+    /// Per task: work units.
+    pub work: Vec<f64>,
+    /// Per task: the end of its accesses in the `access_*` columns (the
+    /// start is the previous task's end, or 0).
+    pub access_end: Vec<usize>,
+    /// Per access: region id.
+    pub access_region: Vec<usize>,
+    /// Per access: mode, 0 in, 1 out, 2 inout.
+    pub access_mode: Vec<u8>,
+    /// Per access: bytes.
+    pub access_bytes: Vec<u64>,
+    /// Per task: the end of its dependences in the `dep_*` columns.
+    pub dep_end: Vec<usize>,
+    /// Per dependence: the predecessor task.
+    pub dep_pred: Vec<usize>,
+    /// Per dependence: bytes.
+    pub dep_bytes: Vec<u64>,
     /// Region sizes (bytes), indexed by region id.
     pub regions: Vec<u64>,
     /// The expert placement, if the workload has one.
     pub ep: Option<Vec<usize>>,
 }
 
-/// One task of a [`WireSpec`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct WireTask {
-    /// Task kind label.
-    pub kind: String,
-    /// Work units.
-    pub work: f64,
-    /// `(region, mode, bytes)`; mode 0 is in, 1 out, 2 inout.
-    pub accesses: Vec<(usize, u8, u64)>,
-    /// `(predecessor, bytes)`.
-    pub deps: Vec<(usize, u64)>,
-}
-
 impl WireSpec {
     /// The spec message for `spec`.
     pub fn new(spec: &TaskGraphSpec) -> Self {
-        let graph = &spec.graph;
-        let tasks = graph
-            .tasks()
-            .iter()
-            .map(|task| WireTask {
-                kind: task.kind.clone(),
-                work: task.work_units,
-                accesses: task
-                    .accesses
-                    .iter()
-                    .map(|a| (a.region.0, a.mode as u8, a.bytes))
-                    .collect(),
-                deps: graph
-                    .predecessors(task.id)
-                    .iter()
-                    .map(|(pred, bytes)| (pred.0, *bytes))
-                    .collect(),
-            })
-            .collect();
-        WireSpec {
-            fp: spec.fingerprint(),
-            name: spec.name.to_string(),
-            tasks,
-            regions: spec.region_sizes.clone(),
-            ep: spec.ep_socket.clone(),
-        }
+        Self::with_fingerprint(spec.fingerprint(), spec)
     }
 
-    /// Rebuilds the spec. Its own fingerprint must match the advertised one
-    /// or the transfer corrupted something.
-    pub fn into_spec(self) -> Result<(u64, TaskGraphSpec), String> {
-        let mut graph = TaskGraph::new();
-        let mut deps = Vec::new();
-        for (index, task) in self.tasks.into_iter().enumerate() {
-            let accesses = task
-                .accesses
-                .into_iter()
-                .map(|(region, mode, bytes)| {
-                    let mode = match mode {
-                        0 => AccessMode::In,
-                        1 => AccessMode::Out,
-                        2 => AccessMode::InOut,
-                        _ => return Err(format!("spec access mode {mode} is not 0, 1 or 2")),
-                    };
-                    Ok(DataAccess {
-                        region: RegionId(region),
-                        mode,
-                        bytes,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            deps.clear();
-            deps.extend(task.deps.iter().map(|&(pred, bytes)| (TaskId(pred), bytes)));
-            let descriptor = TaskDescriptor {
-                id: TaskId(index),
-                kind: task.kind,
-                work_units: task.work,
-                accesses,
-            };
-            let id = graph.push_task(descriptor, &deps);
-            if id.0 != index {
+    /// The spec message for `spec`, whose fingerprint the caller already
+    /// knows to be `fp`.
+    pub fn with_fingerprint(fp: u64, spec: &TaskGraphSpec) -> Self {
+        let graph = &spec.graph;
+        let n = graph.num_tasks();
+        let num_accesses = graph.tasks().iter().map(|t| t.accesses.len()).sum();
+        let mut wire = WireSpec {
+            fp,
+            name: spec.name.to_string(),
+            kinds: Vec::new(),
+            kind: Vec::with_capacity(n),
+            work: Vec::with_capacity(n),
+            access_end: Vec::with_capacity(n),
+            access_region: Vec::with_capacity(num_accesses),
+            access_mode: Vec::with_capacity(num_accesses),
+            access_bytes: Vec::with_capacity(num_accesses),
+            dep_end: Vec::with_capacity(n),
+            dep_pred: Vec::with_capacity(graph.num_edges()),
+            dep_bytes: Vec::with_capacity(graph.num_edges()),
+            regions: spec.region_sizes.clone(),
+            ep: spec.ep_socket.clone(),
+        };
+        let mut kind_index: HashMap<&str, usize> = HashMap::new();
+        for task in graph.tasks() {
+            let next = kind_index.len();
+            let kind = *kind_index.entry(task.kind.as_str()).or_insert_with(|| {
+                wire.kinds.push(task.kind.clone());
+                next
+            });
+            wire.kind.push(kind);
+            wire.work.push(task.work_units);
+            for access in &task.accesses {
+                wire.access_region.push(access.region.0);
+                wire.access_mode.push(access.mode as u8);
+                wire.access_bytes.push(access.bytes);
+            }
+            wire.access_end.push(wire.access_region.len());
+            for &(pred, bytes) in graph.predecessors(task.id) {
+                wire.dep_pred.push(pred.0);
+                wire.dep_bytes.push(bytes);
+            }
+            wire.dep_end.push(wire.dep_pred.len());
+        }
+        wire
+    }
+
+    /// Checks that the columns describe a well-formed graph: per-task
+    /// columns as long as the task list, per-entry columns as long as each
+    /// other, offsets that never decrease and end exactly at their
+    /// column's end, in-range kind indices, regions and access modes,
+    /// dependences only on earlier tasks, and an EP placement covering
+    /// every task.
+    fn check_shape(&self) -> Result<(), String> {
+        let n = self.kind.len();
+        for (column, len) in [
+            ("work", self.work.len()),
+            ("access_end", self.access_end.len()),
+            ("dep_end", self.dep_end.len()),
+        ] {
+            if len != n {
                 return Err(format!(
-                    "spec task ids are not dense: got {} at {index}",
-                    id.0
+                    "spec.{column} has {len} entries for {n} tasks (spec.kind)"
                 ));
             }
+        }
+        for (column, len, want) in [
+            (
+                "access_mode",
+                self.access_mode.len(),
+                self.access_region.len(),
+            ),
+            (
+                "access_bytes",
+                self.access_bytes.len(),
+                self.access_region.len(),
+            ),
+            ("dep_bytes", self.dep_bytes.len(), self.dep_pred.len()),
+        ] {
+            if len != want {
+                return Err(format!(
+                    "spec.{column} has {len} entries, its sibling columns {want}"
+                ));
+            }
+        }
+        for (column, ends, len) in [
+            ("access_end", &self.access_end, self.access_region.len()),
+            ("dep_end", &self.dep_end, self.dep_pred.len()),
+        ] {
+            let mut start = 0;
+            for (task, &end) in ends.iter().enumerate() {
+                if end < start || end > len {
+                    return Err(format!(
+                        "spec.{column}[{task}]: offset {end} is outside {start}..={len}"
+                    ));
+                }
+                start = end;
+            }
+            if start != len {
+                return Err(format!(
+                    "spec.{column} ends at {start}, but its columns hold {len} entries"
+                ));
+            }
+        }
+        if let Some(task) = self.kind.iter().position(|&k| k >= self.kinds.len()) {
+            return Err(format!(
+                "spec.kind[{task}]: kind {} is not below {} (spec.kinds)",
+                self.kind[task],
+                self.kinds.len()
+            ));
+        }
+        if let Some(i) = self
+            .access_region
+            .iter()
+            .position(|&r| r >= self.regions.len())
+        {
+            return Err(format!(
+                "spec.access_region[{i}]: region {} is not below {} (spec.regions)",
+                self.access_region[i],
+                self.regions.len()
+            ));
+        }
+        if let Some(i) = self.access_mode.iter().position(|&m| m > 2) {
+            return Err(format!(
+                "spec.access_mode[{i}]: access mode {} is not 0, 1 or 2",
+                self.access_mode[i]
+            ));
+        }
+        let mut start = 0;
+        for (task, &end) in self.dep_end.iter().enumerate() {
+            if let Some(&pred) = self.dep_pred[start..end].iter().find(|&&p| p >= task) {
+                return Err(format!(
+                    "spec.dep_pred: task {task} depends on task {pred}, not an earlier one"
+                ));
+            }
+            start = end;
+        }
+        if let Some(ep) = &self.ep {
+            if ep.len() != n {
+                return Err(format!("spec.ep has {} entries for {n} tasks", ep.len()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the spec. Malformed columns are an error, never a panic;
+    /// and the rebuilt spec's own fingerprint must match the advertised one
+    /// or the transfer corrupted something.
+    pub fn into_spec(self) -> Result<(u64, TaskGraphSpec), String> {
+        self.check_shape()?;
+        let mut graph = TaskGraph::new();
+        let mut deps = Vec::new();
+        let (mut access_start, mut dep_start) = (0, 0);
+        for (index, ((&kind, &work), (&access_end, &dep_end))) in self
+            .kind
+            .iter()
+            .zip(&self.work)
+            .zip(self.access_end.iter().zip(&self.dep_end))
+            .enumerate()
+        {
+            let accesses = (access_start..access_end)
+                .map(|i| DataAccess {
+                    region: RegionId(self.access_region[i]),
+                    mode: match self.access_mode[i] {
+                        0 => AccessMode::In,
+                        1 => AccessMode::Out,
+                        _ => AccessMode::InOut,
+                    },
+                    bytes: self.access_bytes[i],
+                })
+                .collect();
+            deps.clear();
+            deps.extend(
+                (dep_start..dep_end).map(|i| (TaskId(self.dep_pred[i]), self.dep_bytes[i])),
+            );
+            let descriptor = TaskDescriptor {
+                id: TaskId(index),
+                kind: self.kinds[kind].clone(),
+                work_units: work,
+                accesses,
+            };
+            graph.push_task(descriptor, &deps);
+            (access_start, dep_start) = (access_end, dep_end);
         }
         let mut spec = TaskGraphSpec::new(self.name, graph, self.regions);
         if let Some(placement) = self.ep {
@@ -547,7 +680,7 @@ mod tests {
         let err = wire.into_spec().unwrap_err();
         assert!(err.contains("fingerprint mismatch"), "{err}");
         let mut wire = WireSpec::new(&sample_spec());
-        wire.tasks[0].accesses[0].1 = 3;
+        wire.access_mode[0] = 3;
         let err = wire.into_spec().unwrap_err();
         assert!(err.contains("access mode 3"), "{err}");
     }

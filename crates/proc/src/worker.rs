@@ -106,6 +106,10 @@ fn run_worker(
 
     let mut base_config: Option<ExecutionConfig> = None;
     let mut specs: HashMap<u64, TaskGraphSpec> = HashMap::new();
+    // Specs that failed to rebuild, with the reason. A spec message has no
+    // reply of its own, so the error answers each assignment that names
+    // the spec: one reply per assignment keeps the conversation in step.
+    let mut rejected: HashMap<u64, String> = HashMap::new();
     let mut assigns_seen: u64 = 0;
 
     loop {
@@ -135,19 +139,28 @@ fn run_worker(
                 }
                 Err(e) => send(&mut writer, error(format!("bad config: {e}")))?,
             },
-            ToWorker::Spec(wire) => match wire.into_spec() {
-                Ok((fp, spec)) => {
-                    specs.insert(fp, spec);
+            ToWorker::Spec(wire) => {
+                let fp = wire.fp;
+                match wire.into_spec() {
+                    Ok((fp, spec)) => {
+                        specs.insert(fp, spec);
+                    }
+                    Err(e) => {
+                        rejected.insert(fp, format!("bad spec {fp:#x}: {e}"));
+                    }
                 }
-                Err(e) => send(&mut writer, error(format!("bad spec: {e}")))?,
-            },
+            }
             ToWorker::Assign(assign) => {
                 assigns_seen += 1;
                 if matches!(faults.crash_after, Some(n) if assigns_seen > n) {
                     // Simulated crash: die without a word, mid-cell.
                     std::process::exit(3);
                 }
-                let (report, events) = match run_cell(&assign, base_config.as_ref(), &specs) {
+                let ran = match rejected.get(&assign.spec_fp) {
+                    Some(reason) => Err(reason.clone()),
+                    None => run_cell(&assign, base_config.as_ref(), &specs),
+                };
+                let (report, events) = match ran {
                     Ok(ran) => ran,
                     Err(message) => {
                         send(&mut writer, error(message))?;

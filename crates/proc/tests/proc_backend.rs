@@ -6,7 +6,7 @@
 //! as the worker argv). IPC runs over TCP, so libtest's stdout chatter in
 //! the children is harmless.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use numadag_core::{make_policy, PolicyKind};
@@ -100,7 +100,16 @@ fn proc_cells_are_bit_identical_to_the_in_process_simulator() {
         let kind: PolicyKind = label.parse().expect("label parses");
         let want = local_report(&spec, kind, seed, &config);
         let (got, events) = pool
-            .run_cell(&spec, label, kind.base_label(), seed, &config, false, false)
+            .run_cell(
+                &spec,
+                spec.fingerprint(),
+                label,
+                kind.base_label(),
+                seed,
+                &config,
+                false,
+                false,
+            )
             .expect("cell executes");
         assert!(events.is_empty(), "no events were requested");
         assert_reports_identical(&got, &want);
@@ -136,6 +145,7 @@ fn traces_and_events_travel_back_across_the_wire() {
     let (got, events) = pool
         .run_cell(
             &spec,
+            spec.fingerprint(),
             "rgp+las",
             kind.base_label(),
             seed,
@@ -166,6 +176,7 @@ fn executor_trait_ships_cells_and_forwards_events() {
     let ctx = CellContext {
         policy_label: "las",
         seed,
+        fingerprint: &OnceLock::new(),
     };
     let report = executor.execute_cell(&spec, policy.as_mut(), Some(&ctx));
     let remote_events = sink.take();
@@ -188,7 +199,16 @@ fn a_crashing_worker_is_killed_and_its_cell_redispatched() {
     let want = local_report(&spec, kind, 5, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, "las", kind.base_label(), 5, &config, false, false)
+            .run_cell(
+                &spec,
+                spec.fingerprint(),
+                "las",
+                kind.base_label(),
+                5,
+                &config,
+                false,
+                false,
+            )
             .expect("cells survive the crash via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -208,7 +228,16 @@ fn garbage_frames_kill_the_worker_not_the_coordinator() {
     let want = local_report(&spec, kind, 6, &config);
     for _ in 0..6 {
         let (got, _) = pool
-            .run_cell(&spec, "dfifo", kind.base_label(), 6, &config, false, false)
+            .run_cell(
+                &spec,
+                spec.fingerprint(),
+                "dfifo",
+                kind.base_label(),
+                6,
+                &config,
+                false,
+                false,
+            )
             .expect("cells survive the corruption via redispatch");
         assert_reports_identical(&got, &want);
     }
@@ -224,7 +253,16 @@ fn losing_every_worker_is_a_structured_error_not_a_hang() {
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let err = pool
-        .run_cell(&spec, "las", "LAS", 7, &config, false, false)
+        .run_cell(
+            &spec,
+            spec.fingerprint(),
+            "las",
+            "LAS",
+            7,
+            &config,
+            false,
+            false,
+        )
         .expect_err("no worker can run the cell");
     assert!(
         matches!(err, ProcError::AllWorkersDead { .. }),
@@ -242,7 +280,16 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let spec = sample_spec();
     let config = ExecutionConfig::new(Topology::two_socket(2));
     let err = pool
-        .run_cell(&spec, "ep", "EP", 8, &config, false, false)
+        .run_cell(
+            &spec,
+            spec.fingerprint(),
+            "ep",
+            "EP",
+            8,
+            &config,
+            false,
+            false,
+        )
         .expect_err("EP without a placement fails");
     match &err {
         ProcError::Worker { message, .. } => {
@@ -263,9 +310,100 @@ fn a_worker_side_failure_propagates_as_a_deterministic_error() {
     let kind: PolicyKind = "las".parse().unwrap();
     let want = local_report(&spec, kind, 9, &config);
     let (got, _) = pool
-        .run_cell(&spec, "las", kind.base_label(), 9, &config, false, false)
+        .run_cell(
+            &spec,
+            spec.fingerprint(),
+            "las",
+            kind.base_label(),
+            9,
+            &config,
+            false,
+            false,
+        )
         .expect("pool still serves cells");
     assert_reports_identical(&got, &want);
+}
+
+#[test]
+fn malformed_or_misadvertised_specs_are_worker_errors_that_kill_nobody() {
+    let pool = test_pool(2, &[]);
+    let spec = sample_spec();
+    let config = ExecutionConfig::new(Topology::two_socket(2));
+    // An EP placement that does not cover every task (the public fields
+    // bypass `with_ep_placement`'s check) fails the worker's shape check;
+    // a wrong advertised fingerprint fails its fingerprint check. Each
+    // worker sees each bad spec once (round-robin dispatch).
+    let mut short_ep = spec.clone();
+    short_ep.ep_socket = Some(vec![0]);
+    let cases = [
+        (&short_ep, short_ep.fingerprint(), "spec.ep has 1 entries"),
+        (&short_ep, short_ep.fingerprint(), "spec.ep has 1 entries"),
+        (&spec, spec.fingerprint() ^ 1, "fingerprint mismatch"),
+        (&spec, spec.fingerprint() ^ 1, "fingerprint mismatch"),
+    ];
+    for (bad, fp, want) in cases {
+        match pool.run_cell(bad, fp, "las", "LAS", 4, &config, false, false) {
+            Err(ProcError::Worker { message, .. }) => {
+                assert!(message.contains(want), "message: {message}")
+            }
+            other => panic!("expected a worker error naming {want:?}, got {other:?}"),
+        }
+    }
+    let stats = pool.stats();
+    assert_eq!(stats.workers_alive, 2, "a bad spec kills nobody");
+    assert_eq!(stats.redispatches, 0, "bad specs are not retried");
+    // Both workers stay in step: each answered every assignment once, so
+    // the next cells get their own replies.
+    let kind: PolicyKind = "las".parse().unwrap();
+    let want = local_report(&spec, kind, 9, &config);
+    for _ in 0..2 {
+        let (got, _) = pool
+            .run_cell(
+                &spec,
+                spec.fingerprint(),
+                "las",
+                kind.base_label(),
+                9,
+                &config,
+                false,
+                false,
+            )
+            .expect("pool still serves cells");
+        assert_reports_identical(&got, &want);
+    }
+}
+
+#[test]
+fn each_spec_is_encoded_once_and_released_once_every_worker_holds_it() {
+    let pool = test_pool(2, &[]);
+    let spec = sample_spec();
+    let fp = spec.fingerprint();
+    let config = ExecutionConfig::new(Topology::two_socket(2));
+    let kind: PolicyKind = "las".parse().unwrap();
+    let run = |seed| {
+        pool.run_cell(
+            &spec,
+            fp,
+            "las",
+            kind.base_label(),
+            seed,
+            &config,
+            false,
+            false,
+        )
+        .expect("cell executes")
+    };
+    run(1);
+    let stats = pool.stats();
+    assert_eq!((stats.spec_encodes, stats.spec_transfers), (1, 1));
+    assert_eq!(stats.spec_frames, 1, "kept for the worker that lacks it");
+    for seed in 2..6 {
+        run(seed);
+    }
+    let stats = pool.stats();
+    assert_eq!((stats.spec_encodes, stats.spec_transfers), (1, 2));
+    assert_eq!(stats.spec_frames, 0, "an idle pool holds no frames");
+    assert!(stats.to_string().contains("spec_encodes=1 spec_frames=0"));
 }
 
 #[test]
@@ -278,7 +416,16 @@ fn config_changes_resync_by_fingerprint() {
     for config in [&first, &second, &first] {
         let want = local_report(&spec, kind, 3, config);
         let (got, _) = pool
-            .run_cell(&spec, "las", kind.base_label(), 3, config, false, false)
+            .run_cell(
+                &spec,
+                spec.fingerprint(),
+                "las",
+                kind.base_label(),
+                3,
+                config,
+                false,
+                false,
+            )
             .expect("cell executes");
         assert_reports_identical(&got, &want);
     }

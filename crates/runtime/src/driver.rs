@@ -26,7 +26,7 @@
 //! and how tests verify that specs are built once per app×scale.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use numadag_core::{make_policy, PolicyKind};
@@ -54,6 +54,10 @@ pub struct PlannedWorkload {
     pub baseline_available: bool,
     /// The workload spec, built once and shared by every job.
     pub spec: Arc<TaskGraphSpec>,
+    /// Lazily computed [`TaskGraphSpec::fingerprint`] of `spec`. Only
+    /// backends that key specs by fingerprint (the proc pool) ask for it, so
+    /// in-process sweeps never pay for the hash.
+    pub(crate) fingerprint: OnceLock<u64>,
 }
 
 /// One independent cell job of a [`SweepPlan`]: run one policy once on one
@@ -566,6 +570,7 @@ fn run_job(
     let ctx = CellContext {
         policy_label: &policy_label,
         seed,
+        fingerprint: &workload.fingerprint,
     };
     let report = match plan.trace.as_ref().filter(|_| allow_trace) {
         Some(collector) => {
@@ -765,6 +770,63 @@ mod tests {
         // Specs were built once per workload, no hits on a private cache.
         assert_eq!(plan.spec_builds(), 2);
         assert_eq!(plan.spec_cache_hits, 0);
+    }
+
+    /// Stands in for a backend that keys specs by fingerprint: asks the
+    /// context for it on every cell, then simulates.
+    struct FingerprintingExecutor(crate::Simulator);
+
+    impl Executor for FingerprintingExecutor {
+        fn backend_name(&self) -> &'static str {
+            "fingerprinting"
+        }
+
+        fn config(&self) -> &ExecutionConfig {
+            self.0.config()
+        }
+
+        fn execute(
+            &self,
+            spec: &TaskGraphSpec,
+            policy: &mut dyn numadag_core::SchedulingPolicy,
+        ) -> crate::ExecutionReport {
+            self.0.execute(spec, policy)
+        }
+
+        fn execute_cell(
+            &self,
+            spec: &TaskGraphSpec,
+            policy: &mut dyn numadag_core::SchedulingPolicy,
+            ctx: Option<&CellContext<'_>>,
+        ) -> crate::ExecutionReport {
+            let ctx = ctx.expect("the sweep driver always passes a context");
+            assert_eq!(ctx.spec_fingerprint(spec), spec.fingerprint());
+            self.0.execute(spec, policy)
+        }
+    }
+
+    #[test]
+    fn spec_fingerprints_are_computed_once_per_workload_and_only_on_demand() {
+        let plan = tiny_experiment().plan();
+        for i in 0..plan.num_jobs() {
+            plan.run_cell(i, plan.executor().as_ref());
+        }
+        assert!(
+            plan.workloads()
+                .iter()
+                .all(|w| w.fingerprint.get().is_none()),
+            "in-process backends never hash the spec"
+        );
+        let executor = FingerprintingExecutor(crate::Simulator::new(plan.config.clone()));
+        for i in 0..plan.num_jobs() {
+            plan.run_cell(i, &executor);
+        }
+        for workload in plan.workloads() {
+            assert_eq!(
+                workload.fingerprint.get(),
+                Some(&workload.spec.fingerprint())
+            );
+        }
     }
 
     #[test]

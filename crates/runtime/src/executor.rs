@@ -32,6 +32,19 @@ pub struct CellContext<'a> {
     pub policy_label: &'a str,
     /// The seed the policy instance was built with.
     pub seed: u64,
+    /// Memo of the spec's [`TaskGraphSpec::fingerprint`], shared by every
+    /// cell of the same planned workload, so a backend that keys specs by
+    /// fingerprint hashes each graph once per sweep rather than once per
+    /// cell, and in-process backends never hash it.
+    pub fingerprint: &'a OnceLock<u64>,
+}
+
+impl CellContext<'_> {
+    /// The fingerprint of `spec`, the spec this cell runs, computed on
+    /// first use.
+    pub fn spec_fingerprint(&self, spec: &TaskGraphSpec) -> u64 {
+        *self.fingerprint.get_or_init(|| spec.fingerprint())
+    }
 }
 
 /// A backend that can execute a task-graph workload under a scheduling
@@ -140,6 +153,7 @@ mod tests {
         let ctx = CellContext {
             policy_label: "las",
             seed: 7,
+            fingerprint: &OnceLock::new(),
         };
         let mut p1 = LasPolicy::new(1);
         let mut p2 = LasPolicy::new(1);

@@ -35,7 +35,7 @@
 //! backend), while [`SweepReport::to_json_string_with_timing`] appends the
 //! wall-time accounting ([`crate::SweepTiming`]).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use numadag_core::{make_policy, PolicyKind};
@@ -570,6 +570,7 @@ impl Experiment {
                     scale_label: format!("{scale:?}"),
                     baseline_available: make_policy(self.baseline, &spec, self.seed).is_some(),
                     spec,
+                    fingerprint: OnceLock::new(),
                 });
             }
         }
@@ -580,6 +581,7 @@ impl Experiment {
                 scale_label: "custom".to_string(),
                 baseline_available: make_policy(self.baseline, &spec, self.seed).is_some(),
                 spec,
+                fingerprint: OnceLock::new(),
             });
         }
         let build_wall_ns = build_start.elapsed().as_nanos() as f64;

@@ -1,7 +1,5 @@
 //! The task dependency graph (TDG).
 
-use std::collections::HashMap;
-
 use crate::task::{TaskDescriptor, TaskId};
 
 /// A directed acyclic graph of tasks. Nodes are tasks in submission order;
@@ -103,19 +101,28 @@ impl TaskGraph {
             self.tasks.len(),
             "tasks must be pushed in dense submission order"
         );
-        let mut merged: HashMap<TaskId, u64> = HashMap::new();
-        for &(pred, bytes) in deps {
+        for &(pred, _) in deps {
             assert!(
                 pred.index() < self.tasks.len(),
                 "dependence on not-yet-submitted task {pred:?}"
             );
             assert_ne!(pred, id, "a task cannot depend on itself");
-            *merged.entry(pred).or_default() += bytes;
         }
+        // Sort by predecessor, then fold each run of duplicates into its
+        // first entry. The list is kept exactly sized: graphs hold one per
+        // task for their whole lifetime.
+        let mut preds = deps.to_vec();
+        preds.sort_unstable_by_key(|(t, _)| t.index());
+        preds.dedup_by(|next, kept| {
+            let duplicate = next.0 == kept.0;
+            if duplicate {
+                kept.1 += next.1;
+            }
+            duplicate
+        });
+        preds.shrink_to_fit();
         self.tasks.push(descriptor);
         self.successors.push(Vec::new());
-        let mut preds: Vec<(TaskId, u64)> = merged.into_iter().collect();
-        preds.sort_by_key(|(t, _)| t.index());
         for &(pred, bytes) in &preds {
             self.successors[pred.index()].push((id, bytes));
             self.num_edges += 1;
@@ -273,6 +280,27 @@ mod tests {
         g.push_task(task(1, 1.0), &[(TaskId(0), 100), (TaskId(0), 50)]);
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_bytes(TaskId(0), TaskId(1)), Some(150));
+    }
+
+    #[test]
+    fn duplicate_dependences_merge_in_predecessor_order_into_exact_lists() {
+        let mut g = TaskGraph::new();
+        for id in 0..3 {
+            g.push_task(task(id, 1.0), &[]);
+        }
+        let deps = [
+            (TaskId(2), 5),
+            (TaskId(0), 100),
+            (TaskId(2), 7),
+            (TaskId(1), 1),
+            (TaskId(0), 50),
+        ];
+        g.push_task(task(3, 1.0), &deps);
+        let preds = g.predecessors(TaskId(3));
+        assert_eq!(preds, &[(TaskId(0), 150), (TaskId(1), 1), (TaskId(2), 12)]);
+        assert_eq!(g.predecessors[3].capacity(), 3, "list is exactly sized");
+        assert_eq!(g.successors(TaskId(2)), &[(TaskId(3), 12)]);
+        assert_eq!(g.num_edges(), 3);
     }
 
     #[test]

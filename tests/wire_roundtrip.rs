@@ -11,14 +11,14 @@ use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use numadag::kernels::{Application, ProblemScale};
-use numadag::numa::{CoreId, CostModel, NodeId, SocketId, Topology, TrafficStats};
+use numadag::numa::{CoreId, CostModel, NodeId, RegionId, SocketId, Topology, TrafficStats};
 use numadag::proc::protocol::{Assignment, Done, FromWorker, ToWorker, WireConfig, WireSpec};
 use numadag::runtime::framing::to_line;
 use numadag::runtime::{
     ExecutionConfig, ExecutionReport, Experiment, StealMode, SweepReport, TaskPlacement,
 };
 use numadag::serve::protocol::{Request, Response, ServerStats, SweepSpec};
-use numadag::tdg::TaskId;
+use numadag::tdg::{AccessMode, DataAccess, TaskDescriptor, TaskGraph, TaskGraphSpec, TaskId};
 use numadag::trace::{Trace, TraceEvent};
 
 fn round_trip<T: Serialize + Deserialize>(value: &T) -> T {
@@ -79,6 +79,56 @@ fn events(raw: u64, bytes: u64) -> Vec<TraceEvent> {
             time: 1e-300,
         },
     ]
+}
+
+/// A random spec of `tasks` tasks drawn from `seed`: kinds from a table of
+/// three, zero to three accesses per task, zero to four dependences per
+/// task with repeats, and an EP placement on odd seeds.
+fn random_spec(seed: u64, tasks: usize) -> TaskGraphSpec {
+    let mut state = seed;
+    let mut next = move |bound: u64| {
+        // splitmix64
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % bound
+    };
+    let regions: Vec<u64> = (0..4).map(|_| next(u64::MAX)).collect();
+    let mut graph = TaskGraph::new();
+    for id in 0..tasks {
+        let accesses = (0..next(4))
+            .map(|_| DataAccess {
+                region: RegionId(next(regions.len() as u64) as usize),
+                mode: [AccessMode::In, AccessMode::Out, AccessMode::InOut][next(3) as usize],
+                bytes: edge(next(4), next(u64::MAX)),
+            })
+            .collect();
+        let mut deps = Vec::new();
+        if id > 0 {
+            for _ in 0..next(5) {
+                let pred = TaskId(next(id as u64) as usize);
+                deps.push((pred, next(1 << 40)));
+                if next(3) == 0 {
+                    deps.push((pred, next(1 << 40)));
+                }
+            }
+        }
+        let task = TaskDescriptor {
+            id: TaskId(id),
+            kind: ["potrf", "trsm", "gemm"][next(3) as usize].to_string(),
+            work_units: float(next(u64::MAX)),
+            accesses,
+        };
+        graph.push_task(task, &deps);
+    }
+    let spec = TaskGraphSpec::new("random", graph, regions);
+    if seed % 2 == 1 {
+        let placement = (0..tasks).map(|_| next(4) as usize).collect();
+        spec.with_ep_placement(placement)
+    } else {
+        spec
+    }
 }
 
 fn tiny_report() -> SweepReport {
@@ -155,6 +205,31 @@ proptest! {
         ];
         for message in &from_worker {
             prop_assert_eq!(&round_trip(message), message);
+        }
+    }
+
+    /// The columnar spec message over random graphs: duplicate
+    /// dependences (merged by the graph), repeated kinds, access-free
+    /// tasks, with and without an EP placement.
+    #[test]
+    fn columnar_spec_messages_round_trip(seed in 0u64..=u64::MAX, tasks in 1usize..60) {
+        let spec = random_spec(seed, tasks);
+        let wire = WireSpec::new(&spec);
+        prop_assert!(wire.kinds.len() <= 3);
+        let message = ToWorker::Spec(wire);
+        let decoded = round_trip(&message);
+        prop_assert_eq!(&decoded, &message);
+        let ToWorker::Spec(wire) = decoded else { unreachable!() };
+        let (fp, rebuilt) = wire.into_spec().unwrap();
+        prop_assert_eq!(fp, spec.fingerprint());
+        prop_assert_eq!(rebuilt.fingerprint(), fp);
+        prop_assert_eq!(&rebuilt.ep_socket, &spec.ep_socket);
+        prop_assert_eq!(rebuilt.graph.num_edges(), spec.graph.num_edges());
+        for id in spec.graph.task_ids() {
+            prop_assert_eq!(rebuilt.graph.predecessors(id), spec.graph.predecessors(id));
+            prop_assert_eq!(rebuilt.graph.successors(id), spec.graph.successors(id));
+            prop_assert_eq!(&rebuilt.graph.task(id).accesses, &spec.graph.task(id).accesses);
+            prop_assert_eq!(&rebuilt.graph.task(id).kind, &spec.graph.task(id).kind);
         }
     }
 
@@ -270,8 +345,43 @@ fn malformed_inputs_name_the_field_or_tag() {
             Err(e) => e.to_string(),
         }
     }
-    let spec = r#"{"Spec": {"fp": 1, "name": "x", "regions": [], "ep": null, "tasks":
-        [{"kind": "k", "work": 1, "accesses": [[0, 1]], "deps": []}]}}"#;
+    // Two tasks, the second reading what the first wrote; `spec` replaces
+    // some of its columns.
+    let spec = |replaced: &[(&str, &'static str)]| {
+        let mut columns = vec![
+            ("fp", "1"),
+            ("name", r#""x""#),
+            ("kinds", r#"["k"]"#),
+            ("kind", "[0, 0]"),
+            ("work", "[1, 2.5]"),
+            ("access_end", "[1, 2]"),
+            ("access_region", "[0, 0]"),
+            ("access_mode", "[1, 0]"),
+            ("access_bytes", "[8, 8]"),
+            ("dep_end", "[0, 1]"),
+            ("dep_pred", "[0]"),
+            ("dep_bytes", "[8]"),
+            ("regions", "[8]"),
+            ("ep", "null"),
+        ];
+        for &(column, value) in replaced {
+            columns
+                .iter_mut()
+                .find(|(name, _)| *name == column)
+                .unwrap()
+                .1 = value;
+        }
+        let fields: Vec<String> = columns
+            .iter()
+            .map(|(k, v)| format!(r#""{k}": {v}"#))
+            .collect();
+        format!(r#"{{"Spec": {{{}}}}}"#, fields.join(", "))
+    };
+    // Decodes, then rebuilds: the error of a well-typed but malformed spec.
+    let rebuild_err = |line: String| match serde_json::from_str::<ToWorker>(&line) {
+        Ok(ToWorker::Spec(wire)) => wire.into_spec().expect_err("must not rebuild"),
+        other => panic!("{line} must decode to a spec, got {other:?}"),
+    };
     let report = r#"{"machine": "m", "backend": "b", "baseline": "LAS", "seed": 1,
         "repetitions": 1, "cells": [{"application": 3}], "aggregates": [], "skipped": []}"#;
     let trace = r#"{"workload": "w", "policy": "p", "backend": "b", "scale": "s",
@@ -315,8 +425,56 @@ fn malformed_inputs_name_the_field_or_tag() {
             r#"unknown variant "Reboot""#,
         ),
         (
-            err::<ToWorker>(spec),
-            "Spec.tasks[0].accesses[0]: expected an array of 3, found an array",
+            err::<ToWorker>(&spec(&[("access_mode", "[1, 256]")])),
+            "Spec.access_mode[1]: expected u8, found 256",
+        ),
+        (
+            rebuild_err(spec(&[("dep_pred", "[1]")])),
+            "spec.dep_pred: task 1 depends on task 1, not an earlier one",
+        ),
+        (
+            rebuild_err(spec(&[("dep_end", "[1, 1]"), ("dep_pred", "[1]")])),
+            "spec.dep_pred: task 0 depends on task 1, not an earlier one",
+        ),
+        (
+            rebuild_err(spec(&[("access_end", "[2, 1]")])),
+            "spec.access_end[1]: offset 1 is outside 2..=2",
+        ),
+        (
+            rebuild_err(spec(&[("dep_end", "[0, 2]")])),
+            "spec.dep_end[1]: offset 2 is outside 0..=1",
+        ),
+        (
+            rebuild_err(spec(&[("access_end", "[1, 1]")])),
+            "spec.access_end ends at 1, but its columns hold 2 entries",
+        ),
+        (
+            rebuild_err(spec(&[("work", "[1]")])),
+            "spec.work has 1 entries for 2 tasks (spec.kind)",
+        ),
+        (
+            rebuild_err(spec(&[("access_bytes", "[8]")])),
+            "spec.access_bytes has 1 entries, its sibling columns 2",
+        ),
+        (
+            rebuild_err(spec(&[("kind", "[0, 1]")])),
+            "spec.kind[1]: kind 1 is not below 1 (spec.kinds)",
+        ),
+        (
+            rebuild_err(spec(&[("access_mode", "[1, 3]")])),
+            "spec.access_mode[1]: access mode 3 is not 0, 1 or 2",
+        ),
+        (
+            rebuild_err(spec(&[("access_region", "[0, 1]")])),
+            "spec.access_region[1]: region 1 is not below 1 (spec.regions)",
+        ),
+        (
+            rebuild_err(spec(&[("ep", "[0, 1, 0]")])),
+            "spec.ep has 3 entries for 2 tasks",
+        ),
+        (
+            rebuild_err(spec(&[])),
+            "spec fingerprint mismatch: advertised 0x1",
         ),
         (
             err::<FromWorker>(r#"{"Hello": {"worker": 1}}"#),
